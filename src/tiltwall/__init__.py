@@ -87,7 +87,6 @@ from .walls import (
     enumerate_destabilizers,
     largest_wall,
     numerical_wall,
-    tilt_slope_reduced,
     wall_contains,
     walls_meet,
 )

@@ -20,6 +20,7 @@ from .chern import (
     ReducedClass,
     TiltPoint,
     beta_bar,
+    format_reduced,
     parse_reduced,
     reduced,
     tensor_line,
@@ -99,16 +100,18 @@ def _point(text):
     return TiltPoint(parse_rat(a2), parse_rat(b))
 
 
+# Longest --lambda-grid or --mu-grid accepted, checked before any list is built.
+MAX_GRID_ENTRIES = 10_000
+
+
 def _grid(text):
     start, stop, step = (parse_rat(p) for p in text.split(","))
     if step <= 0:
         raise ValueError("grid step must be positive")
-    out = []
-    v = start
-    while v <= stop:
-        out.append(v)
-        v += step
-    return out
+    count = max(0, math.floor((stop - start) / step) + 1)
+    if count > MAX_GRID_ENTRIES:
+        raise ValueError(f"grid has {count} entries, more than the cap of {MAX_GRID_ENTRIES}")
+    return [start + k * step for k in range(count)]
 
 
 def apply_config(argv: list[str]) -> list[str]:
@@ -188,7 +191,7 @@ def _cmd_chern(args) -> int:
     red = reduced(ch)
     payload: dict = {
         "char": format_char(ch),
-        "reduced": ",".join(format_rat(x) for x in red.as_tuple()),
+        "reduced": format_reduced(red),
         "lattice": ch.is_lattice(),
         "disc_bar": format_rat(disc_bar(ch)),
         "disc_tilde0": format_rat(disc_tilde(ch, 0, X)),
@@ -320,11 +323,11 @@ def _cmd_wall(args) -> int:
 def _cmd_walls(args) -> int:
     found = enumerate_destabilizers(args.u, args.rank_bound, args.at)
     payload = [
-        dict(w=",".join(format_rat(x) for x in w.as_tuple()), **_wall_payload(wall))
+        dict(w=format_reduced(w), **_wall_payload(wall))
         for w, wall in found
     ]
     lines = [
-        f"{_wall_text(wall)}  (w={','.join(format_rat(x) for x in w.as_tuple())})"
+        f"{_wall_text(wall)}  (w={format_reduced(w)})"
         for w, wall in found
     ] or ["no walls"]
     if args.csv:
@@ -578,9 +581,6 @@ def run(argv: list[str]) -> int:
         args.format = args.format_default
     try:
         return args.handler(args)
-    except CLIInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -54,11 +55,13 @@ def ceil_sqrt(q: Rat | int) -> int:
     return n
 
 
+@total_ordering
 class ExtRat:
     """A rational number or +infinity, totally ordered.
 
     Arithmetic involving the infinite value raises instead of propagating.
     Two infinite values compare equal (slope comparisons rely on this).
+    Only == and < are written out; total_ordering derives the rest.
     """
 
     __slots__ = ("_v",)
@@ -105,24 +108,6 @@ class ExtRat:
         if k is None:
             return True
         return self._v < k
-
-    def __le__(self, other):
-        k = self._cmp_key(other)
-        if k is NotImplemented:
-            return NotImplemented
-        return self == ExtRat(k) or self < ExtRat(k)
-
-    def __gt__(self, other):
-        k = self._cmp_key(other)
-        if k is NotImplemented:
-            return NotImplemented
-        return ExtRat(k) < self
-
-    def __ge__(self, other):
-        k = self._cmp_key(other)
-        if k is NotImplemented:
-            return NotImplemented
-        return ExtRat(k) <= self
 
     def _finite_pair(self, other) -> tuple[Fraction, Fraction]:
         if isinstance(other, (int, Fraction)):

@@ -1,6 +1,7 @@
 """Built-in invariant suite behind the `selftest` subcommand.
 
 Deterministic for a fixed seed; each suite returns (name, checks, failures).
+The rand_* generators are the seeded draws the test suite shares.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from .stability import nu
 from .walls import EVERYWHERE, numerical_wall, walls_meet
 
 
-def _rat(rng: random.Random, span: int = 12, den: int = 6) -> Fraction:
+def rand_rat(rng: random.Random, span: int = 12, den: int = 6) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 
 
-def _lattice_char(rng: random.Random) -> CharVector:
+def rand_lattice_char(rng: random.Random) -> CharVector:
     return CharVector(
         rng.randint(-5, 5),
         rng.randint(-5, 5),
@@ -30,16 +31,26 @@ def _lattice_char(rng: random.Random) -> CharVector:
     )
 
 
-def _threefold(rng: random.Random) -> RuledThreefold:
+def rand_reduced(rng: random.Random) -> ReducedClass:
+    return ReducedClass(
+        rng.randint(-3, 3), rng.randint(-4, 4), Fraction(rng.randint(-8, 8), 2)
+    )
+
+
+def rand_threefold(rng: random.Random) -> RuledThreefold:
     return RuledThreefold(rng.randint(0, 5), rng.randint(-3, 5))
+
+
+def rand_point(rng: random.Random) -> TiltPoint:
+    return TiltPoint(Fraction(rng.randint(1, 9), rng.randint(1, 4)), rand_rat(rng))
 
 
 def _suite_twist_group_law(rng, n=200):
     fails = 0
     for _ in range(n):
-        X = _threefold(rng)
-        ch = _lattice_char(rng)
-        b1, b2 = _rat(rng), _rat(rng)
+        X = rand_threefold(rng)
+        ch = rand_lattice_char(rng)
+        b1, b2 = rand_rat(rng), rand_rat(rng)
         if twist(twist(ch, b1, X), b2, X) != twist(ch, b1 + b2, X):
             fails += 1
     return n, fails
@@ -48,11 +59,11 @@ def _suite_twist_group_law(rng, n=200):
 def _suite_invariances(rng, n=200):
     checks = fails = 0
     for _ in range(n):
-        X = _threefold(rng)
-        ch = _lattice_char(rng)
-        b = _rat(rng)
+        X = rand_threefold(rng)
+        ch = rand_lattice_char(rng)
+        b = rand_rat(rng)
         m = rng.randint(-6, 6)
-        pt = TiltPoint(Fraction(rng.randint(1, 9), rng.randint(1, 4)), _rat(rng))
+        pt = rand_point(rng)
         cases = [
             disc_bar(twist(ch, b, X)) == disc_bar(ch),
             nabla(twist(ch, b, X), X) == nabla(ch, X),
@@ -83,9 +94,9 @@ def _suite_euler(_rng):
 def _suite_equivalence(rng, n=200):
     checks = fails = 0
     while checks < n:
-        X = _threefold(rng)
-        ch = _lattice_char(rng)
-        pt = TiltPoint(Fraction(rng.randint(1, 9), rng.randint(1, 4)), _rat(rng))
+        X = rand_threefold(rng)
+        ch = rand_lattice_char(rng)
+        pt = rand_point(rng)
         c_b = ch.cHF - pt.beta * ch.r
         if c_b == 0:
             continue
@@ -98,11 +109,10 @@ def _suite_equivalence(rng, n=200):
 def _suite_nested_walls(rng, n=100):
     checks = fails = 0
     while checks < n:
-        u = ReducedClass(rng.randint(-3, 3), rng.randint(-4, 4), Fraction(rng.randint(-8, 8), 2))
+        u = rand_reduced(rng)
         if u.c * u.c - 2 * u.r * u.dd < 0:
             continue
-        w1 = ReducedClass(rng.randint(-3, 3), rng.randint(-4, 4), Fraction(rng.randint(-8, 8), 2))
-        w2 = ReducedClass(rng.randint(-3, 3), rng.randint(-4, 4), Fraction(rng.randint(-8, 8), 2))
+        w1, w2 = rand_reduced(rng), rand_reduced(rng)
         a = numerical_wall(u, w1)
         b = numerical_wall(u, w2)
         if a is None or b is None or a is EVERYWHERE or b is EVERYWHERE:

@@ -25,7 +25,6 @@ from .geometry import (
     fiber_pushforward_char,
     line_bundle_char,
 )
-from .parallel import pmap
 from .stability import ChargeParams
 
 _COORDS = ("r", "cHF", "cHH", "dF", "dH", "e")
@@ -206,17 +205,12 @@ def verify_support(
     q_disc = disc_bar_form()
     fixtures = equality_case_fixtures(X)
 
-    def check(pair):
-        lam, mu = pair
-        q = q_weak.scale(mu).add(q_disc.scale(lam))
-        if not is_negative_definite_on(q, kernel):
-            return None
-        if any(q.value_char(ch) < 0 for ch in fixtures):
-            return None
-        return SupportWitness(lam, mu, q)
-
-    grid = [(lam, mu) for lam in lams for mu in mus]
-    for result in pmap(check, grid):
-        if result is not None:
-            return result
+    for lam in lams:
+        for mu in mus:
+            q = q_weak.scale(mu).add(q_disc.scale(lam))
+            if not is_negative_definite_on(q, kernel):
+                continue
+            if any(q.value_char(ch) < 0 for ch in fixtures):
+                continue
+            return SupportWitness(lam, mu, q)
     return None

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import ReducedClass, TiltPoint, disc_bar_reduced
-from .exactnum import INFINITY, ExtRat, Rat, ceil_sqrt
-from .parallel import pmap
+from .exactnum import Rat, ceil_sqrt
+from .stability import nu
 
 
 @dataclass(frozen=True)
@@ -98,16 +98,6 @@ class _EverywhereType:
 EVERYWHERE = _EverywhereType()
 
 
-def tilt_slope_reduced(u: ReducedClass, pt: TiltPoint) -> ExtRat:
-    """Tilt slope on the reduced lattice; matches stability.nu on lifts."""
-    b = pt.beta
-    c_b = u.c - b * u.r
-    if c_b == 0:
-        return INFINITY
-    d_b = u.dd - b * u.c + b * b / 2 * u.r
-    return ExtRat((d_b - pt.alpha2 / 2 * u.r) / c_b)
-
-
 def numerical_wall(u: ReducedClass, w: ReducedClass):
     """Wall of slope equality: a Wall, None when empty, EVERYWHERE when degenerate."""
     chi = u.r * w.c - w.r * u.c
@@ -135,7 +125,7 @@ def wall_contains(wall: Wall, pt: TiltPoint) -> bool:
 
 def circle_through(u: ReducedClass, pt: TiltPoint) -> SemicircleWall:
     """The member of u's wall pencil through pt: center beta + nu, radius^2 alpha^2 + nu^2."""
-    s = tilt_slope_reduced(u, pt)
+    s = nu(u.lift(), pt)
     if s.is_infinite:
         raise ValueError("no slope circle through a point of infinite slope")
     v = s.value
@@ -284,11 +274,8 @@ def enumerate_destabilizers(
         )
         return []
 
-    boxes = list(candidate_box(u, rank_bound))
-
-    def scan(box):
-        r_w, c_lo, c_hi, d_interval = box
-        found = []
+    by_wall: dict[Wall, ReducedClass] = {}
+    for r_w, c_lo, c_hi, d_interval in candidate_box(u, rank_bound):
         for c_w in range(c_lo, c_hi + 1):
             iv = d_interval(c_w)
             if iv is None:
@@ -296,16 +283,11 @@ def enumerate_destabilizers(
             for d_w in _half_int_range(*iv):
                 w = ReducedClass(r_w, c_w, d_w)
                 wall = _admit(u, w, delta, region)
-                if wall is not None:
-                    found.append((w, wall))
-        return found
-
-    by_wall: dict[Wall, ReducedClass] = {}
-    for chunk in pmap(scan, boxes):
-        for w, wall in chunk:
-            best = by_wall.get(wall)
-            if best is None or w.as_tuple() < best.as_tuple():
-                by_wall[wall] = w
+                if wall is None:
+                    continue
+                best = by_wall.get(wall)
+                if best is None or w.as_tuple() < best.as_tuple():
+                    by_wall[wall] = w
 
     def sort_key(item):
         w, wall = item

@@ -1,4 +1,4 @@
-"""Shared generators: seeded random data and hypothesis strategies."""
+"""Shared generators: seeded random data (from tiltwall.selftest) and hypothesis strategies."""
 
 from __future__ import annotations
 
@@ -9,37 +9,13 @@ import pytest
 from hypothesis import strategies as st
 
 from tiltwall import CharVector, ReducedClass, RuledThreefold, TiltPoint
-
-
-def rand_rat(rng: random.Random, span: int = 12, den: int = 6) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, den))
-
-
-def rand_lattice_char(rng: random.Random) -> CharVector:
-    return CharVector(
-        rng.randint(-5, 5),
-        rng.randint(-5, 5),
-        rng.randint(-8, 8),
-        Fraction(rng.randint(-10, 10), 2),
-        Fraction(rng.randint(-10, 10), 2),
-        Fraction(rng.randint(-18, 18), 6),
-    )
-
-
-def rand_reduced(rng: random.Random) -> ReducedClass:
-    return ReducedClass(
-        rng.randint(-3, 3), rng.randint(-4, 4), Fraction(rng.randint(-8, 8), 2)
-    )
-
-
-def rand_threefold(rng: random.Random) -> RuledThreefold:
-    return RuledThreefold(rng.randint(0, 5), rng.randint(-3, 5))
-
-
-def rand_point(rng: random.Random) -> TiltPoint:
-    return TiltPoint(
-        Fraction(rng.randint(1, 9), rng.randint(1, 4)), rand_rat(rng)
-    )
+from tiltwall.selftest import (  # re-exported to the test modules
+    rand_lattice_char,
+    rand_point,
+    rand_rat,
+    rand_reduced,
+    rand_threefold,
+)
 
 
 @pytest.fixture

@@ -44,7 +44,7 @@ from tiltwall.chern import disc_bar_reduced
 from tiltwall.exactnum import RatMatrix
 from tiltwall.inequalities import chi_bounds_via_rr
 from tiltwall.support import QForm6
-from tiltwall.walls import EVERYWHERE, SemicircleWall, circle_through, tilt_slope_reduced
+from tiltwall.walls import EVERYWHERE, SemicircleWall, circle_through
 from wall_oracle import covering_c_window, oracle_enumerate, result_to_set, sample_points
 
 SEED = 20260809
@@ -166,7 +166,7 @@ def test_criterion_6_wall_geometry():
             continue
         seen += 1
         for pt in sample_points(wall, [u, w]):
-            assert tilt_slope_reduced(u, pt) == tilt_slope_reduced(w, pt)
+            assert nu(u.lift(), pt) == nu(w.lift(), pt)
 
     # (b) nested walls: identical or disjoint for classes of nonnegative disc
     seen = 0
@@ -186,12 +186,12 @@ def test_criterion_6_wall_geometry():
     while seen < 200:
         u = _reduced(rng)
         pt = _point(rng)
-        if tilt_slope_reduced(u, pt).is_infinite:
+        if nu(u.lift(), pt).is_infinite:
             continue
         seen += 1
         circle = circle_through(u, pt)
         for q in sample_points(circle, [u]):
-            assert q.beta + tilt_slope_reduced(u, q).value == circle.center
+            assert q.beta + nu(u.lift(), q).value == circle.center
 
     # (d) disc-zero classes have no semicircular walls
     null_classes = [ReducedClass(k, k * m, Fraction(k * m * m, 2)) for k in (1, 2, -1) for m in (-2, 0, 3)]

@@ -220,6 +220,22 @@ class TestSupport:
         assert code == 1
         assert out_of(capsys)[0] == "no witness in grid"
 
+    def test_oversized_grid_refused_before_building(self, capsys):
+        code = run(
+            ["support", "--alpha2", "1", "--beta", "0", "--s", "1", "--t", "1",
+             "--genus", "0", "--degree", "3", "--lambda-grid", "0,1000000,1/1000000"]
+        )
+        assert code == 2
+        assert "1000000000001 entries" in out_of(capsys)[1]
+
+    def test_grid_endpoints(self):
+        from tiltwall.cli import MAX_GRID_ENTRIES, _grid
+
+        assert _grid("0,2,1/4") == [Fraction(k, 4) for k in range(9)]
+        assert _grid("1/4,2,1/3") == [Fraction(1, 4) + Fraction(k, 3) for k in range(6)]
+        assert _grid("1,0,1") == []
+        assert len(_grid(f"1,{MAX_GRID_ENTRIES},1")) == MAX_GRID_ENTRIES
+
 
 class TestSelftest:
     def test_passes(self, capsys):

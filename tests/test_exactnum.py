@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -122,6 +123,26 @@ class TestExtRat:
         assert (ExtRat(Fraction(1, 2)) + ExtRat(Fraction(1, 3))).value == Fraction(5, 6)
         assert str(INFINITY) == "inf"
         assert str(ExtRat(Fraction(-3, 2))) == "-3/2"
+
+    def test_comparison_table(self):
+        # every operator, both operand orders, against the key (is_inf, value)
+        def key(x):
+            if isinstance(x, ExtRat):
+                return (True, 0) if x.is_infinite else (False, x.value)
+            return (False, Fraction(x))
+
+        ops = [operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge]
+        ext = [ExtRat(-2), ExtRat(Fraction(1, 2)), ExtRat(1), INFINITY, ExtRat(None)]
+        plain = [-2, 0, 1, Fraction(1, 2), Fraction(-7, 3)]
+        pairs = [(a, b) for a in ext for b in ext + plain]
+        pairs += [(b, a) for a, b in pairs]
+        for a, b in pairs:
+            for op in ops:
+                assert op(a, b) is op(key(a), key(b)), (a, b)
+        for a, b in ((ExtRat(1), 0.5), (0.5, ExtRat(1)), (INFINITY, 0.5)):
+            for op in ops[2:]:
+                with pytest.raises(TypeError):
+                    op(a, b)
 
 
 def _random_matrix(rng, rows, cols, span=5):

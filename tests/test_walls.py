@@ -13,7 +13,6 @@ from tiltwall import (
     largest_wall,
     numerical_wall,
     nu,
-    tilt_slope_reduced,
     wall_contains,
     walls_meet,
 )
@@ -56,10 +55,7 @@ class TestNumericalWall:
                 continue
             seen += 1
             for pt in sample_points(wall, [u, w]):
-                su = tilt_slope_reduced(u, pt)
-                sw = tilt_slope_reduced(w, pt)
-                assert su == sw
-                assert nu(u.lift(), pt) == su
+                assert nu(u.lift(), pt) == nu(w.lift(), pt)
 
 
 class TestWallContains:
@@ -81,7 +77,7 @@ class TestCircleThrough:
             u = rand_reduced(rng)
             pt = TiltPoint(Fraction(rng.randint(1, 9), rng.randint(1, 4)),
                            Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
-            s = tilt_slope_reduced(u, pt)
+            s = nu(u.lift(), pt)
             if s.is_infinite:
                 continue
             seen += 1
@@ -93,13 +89,13 @@ class TestCircleThrough:
             u = rand_reduced(rng)
             pt = TiltPoint(Fraction(rng.randint(1, 9), rng.randint(1, 4)),
                            Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
-            s = tilt_slope_reduced(u, pt)
+            s = nu(u.lift(), pt)
             if s.is_infinite:
                 continue
             wall = circle_through(u, pt)
             seen += 1
             for q in sample_points(wall, [u]):
-                sq = tilt_slope_reduced(u, q)
+                sq = nu(u.lift(), q)
                 assert q.beta + sq.value == wall.center
 
     def test_never_crosses_pencil_walls(self, rng):
@@ -114,7 +110,7 @@ class TestCircleThrough:
                 continue
             pt = TiltPoint(Fraction(rng.randint(1, 9), rng.randint(1, 4)),
                            Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
-            s = tilt_slope_reduced(u, pt)
+            s = nu(u.lift(), pt)
             if s.is_infinite:
                 continue
             seen += 1
@@ -254,12 +250,6 @@ class TestEnumerate:
     def test_rejects_non_lattice(self):
         with pytest.raises(ValueError):
             enumerate_destabilizers(ReducedClass(1, 0, Fraction(1, 3)), 1)
-
-    def test_deterministic_under_threads(self, monkeypatch):
-        u = ReducedClass(2, 1, 0)
-        serial = enumerate_destabilizers(u, 3)
-        monkeypatch.setenv("TILTWALL_THREADS", "4")
-        assert enumerate_destabilizers(u, 3) == serial
 
 
 class TestLargestWall:

@@ -80,14 +80,33 @@ def oracle_enumerate(u: ReducedClass, rank_bound: int, c_window: int):
     return {(k, tuple(wv.as_tuple())) for k, wv in found.items()}
 
 
-def covering_c_window(u: ReducedClass, rank_bound: int, slack: int = 3) -> int:
-    """A c window guaranteed to contain the fast search box."""
-    from tiltwall.walls import candidate_box
+def _ceil_sqrt(q: Fraction) -> int:
+    """Least integer n >= 0 with n^2 >= q."""
+    m = max(0, math.ceil(q))
+    n = math.isqrt(m)
+    return n if n * n >= m else n + 1
 
-    spread = 0
-    for _, c_lo, c_hi, _ in candidate_box(u, rank_bound):
-        spread = max(spread, abs(c_lo), abs(c_hi))
-    return spread + slack
+
+def covering_c_window(u: ReducedClass, rank_bound: int, slack: int = 3) -> int:
+    """A window |c_w| <= N holding every admissible destabilizer, from the
+    apex bound rho^2 <= disc(u)^2 / 4 alone.
+
+    At the apex x of the wall, (E) reads 0 <= c_w - x r_w <= c_u - x r_u, so
+    |c_w| <= |x| rank_bound + (c_u - x r_u). For r_u != 0 a wall centered at x
+    has rho^2 = (x - c_u/r_u)^2 - disc(u)/r_u^2, which bounds |x - c_u/r_u|
+    (a vertical wall sits at x = c_u/r_u); for r_u = 0 the center is d_u/c_u
+    and the window needs c_u > 0.
+    """
+    delta = u.c * u.c - 2 * u.r * u.dd
+    if u.r != 0:
+        dev = _ceil_sqrt(delta * delta / 4 + delta / (u.r * u.r))
+        center_max = abs(u.c / u.r) + dev
+        cbar_u_max = abs(u.r) * dev
+    elif u.c > 0:
+        center_max, cbar_u_max = abs(u.dd / u.c), u.c
+    else:
+        return 0
+    return math.ceil(center_max * rank_bound + cbar_u_max) + slack
 
 
 def result_to_set(pairs):

@@ -20,6 +20,7 @@ from .chern import (
     ReducedClass,
     TiltPoint,
     beta_bar,
+    disc_bar_reduced,
     format_reduced,
     parse_reduced,
     reduced,
@@ -59,6 +60,7 @@ from .walls import (
     SemicircleWall,
     VerticalWall,
     Wall,
+    candidate_bound,
     enumerate_destabilizers,
     numerical_wall,
 )
@@ -102,6 +104,12 @@ def _point(text):
 
 # Longest --lambda-grid or --mu-grid accepted, checked before any list is built.
 MAX_GRID_ENTRIES = 10_000
+# Most lambda x mu cells `support` tests (a Sylvester test each, about 3 ms).
+MAX_SUPPORT_CELLS = 10_000
+# Most candidate classes `walls` scans, by `candidate_bound`. On a 2-vCPU host
+# a bounded class costs about 1 us when disc(u) is large and up to about 20 us
+# when it is small against the rank.
+MAX_WALL_CANDIDATES = 1_000_000
 
 
 def _grid(text):
@@ -321,7 +329,17 @@ def _cmd_wall(args) -> int:
 
 
 def _cmd_walls(args) -> int:
-    found = enumerate_destabilizers(args.u, args.rank_bound, args.at)
+    estimate = candidate_bound(args.u, args.rank_bound)
+    if estimate > MAX_WALL_CANDIDATES:
+        raise CLIInputError(
+            f"the scan would test up to {estimate} candidate classes, "
+            f"more than the cap of {MAX_WALL_CANDIDATES}"
+        )
+    if disc_bar_reduced(args.u) < 0:
+        print("note: disc(u) < 0, no tilt-semistable object has this class", file=sys.stderr)
+        found = []
+    else:
+        found = enumerate_destabilizers(args.u, args.rank_bound, args.at)
     payload = [
         dict(w=format_reduced(w), **_wall_payload(wall))
         for w, wall in found
@@ -358,6 +376,9 @@ def _cmd_chi(args) -> int:
 def _cmd_support(args) -> int:
     X = _threefold(args)
     _require(args, ["alpha2", "beta", "s", "t"])
+    cells = len(args.lambda_grid) * len(args.mu_grid)
+    if cells > MAX_SUPPORT_CELLS:
+        raise CLIInputError(f"grid has {cells} cells, more than the cap of {MAX_SUPPORT_CELLS}")
     p = ChargeParams(args.alpha2, args.beta, args.s, args.t)
     witness = verify_support(p, X, args.lambda_grid, args.mu_grid)
     if witness is None:

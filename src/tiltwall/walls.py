@@ -34,8 +34,26 @@ center = d_u/c_u when r_u = 0) and with it the untwisted c_w range per rank.
 Second, given (r_w, c_w) the d_w range is pinned two-sidedly: by
 disc(w) in [0, disc(u)] when r_w != 0, and by disc(u - w) in
 [0, disc(u) - c_w^2] when r_w = 0 != r_u; the remaining case r_w = r_u = 0
-admits no wall at all. Candidates are filtered by the exact predicate
-(A)-(E), so the box only needs to be a superset.
+admits no wall at all.
+
+The scan itself runs in doubled coordinates D = 2 d, so that for lattice
+classes disc = c^2 - r D, chi, P = 2 psi = r_u D_w - r_w D_u and
+O = 2 omega = c_u D_w - c_w D_u are all ints. For fixed (r_w, c_w) the
+constraints (A)-(C) are affine in D_w:
+
+    (A) c_w^2 - r_w D_w >= 0,
+    (B) (c_u - c_w)^2 - (r_u - r_w)(D_u - D_w) >= 0,
+    (C) (r_u - 2 r_w) D_w + c_w^2 + (c_u - c_w)^2 - (r_u - r_w) D_u <= disc(u),
+
+so with floor and ceiling division they clip the box's D range to one exact
+integer interval, and only D inside it is visited. On that interval (D) and
+(E) are tested without a Fraction: the semicircle exists iff
+P^2 - 4 O chi > 0 (its squared radius is that over 4 chi^2), the vertical
+wall iff chi = 0 != P, and the window 0 <= c_w - b r_w <= c_u - b r_u at the
+apex b = P / (2 chi), or b = O / P on a vertical wall, is multiplied through
+by the positive 2 |chi|, or |P|. Only a class passing (A)-(E) gets its
+`ReducedClass`, its Fraction wall and the region filter. The box only needs
+to be a superset of the admissible classes.
 
 The window (E) checked at the apex is equivalent to the window on the whole
 wall: c^b(w) is linear in b along the wall chord and (A) gives
@@ -159,46 +177,6 @@ def _passes_region(wall: Wall, region: TiltPoint) -> bool:
     return db * db + region.alpha2 <= wall.radius_sq
 
 
-def _apex_beta(wall: Wall) -> Fraction:
-    return wall.center if isinstance(wall, SemicircleWall) else wall.beta
-
-
-def _admit(u: ReducedClass, w: ReducedClass, delta: Fraction, region):
-    """Exact admissibility predicate; returns the wall or None."""
-    if w.is_zero():
-        return None
-    dw = disc_bar_reduced(w)
-    if dw < 0:
-        return None
-    dv = disc_bar_reduced(u - w)
-    if dv < 0 or dw + dv > delta:
-        return None
-    wall = numerical_wall(u, w)
-    if wall is None or wall is EVERYWHERE:
-        return None
-    b0 = _apex_beta(wall)
-    cw = w.c - b0 * w.r
-    cu = u.c - b0 * u.r
-    if not (0 <= cw <= cu):
-        return None
-    if region is not None and not _passes_region(wall, region):
-        return None
-    return wall
-
-
-def _half_int_range(lo: Fraction, hi: Fraction):
-    """Half-integers in [lo, hi], ascending."""
-    start = lo * 2
-    n = start.numerator // start.denominator  # floor
-    if Fraction(n, 2) < lo:
-        n += 1
-    out = []
-    while Fraction(n, 2) <= hi:
-        out.append(Fraction(n, 2))
-        n += 1
-    return out
-
-
 def candidate_box(u: ReducedClass, rank_bound: int):
     """Per-rank (c range, d interval) superset of all admissible destabilizers.
 
@@ -251,6 +229,28 @@ def candidate_box(u: ReducedClass, rank_bound: int):
         yield r_w, c_lo, c_hi, d_interval
 
 
+def candidate_bound(u: ReducedClass, rank_bound: int) -> int:
+    """Upper bound on the classes in `candidate_box`, without scanning c.
+
+    The d_w interval of a class of rank r_w != 0 has width disc(u) / (2 |r_w|),
+    and for r_w = 0 at most disc(u) / (2 |r_u|), so it holds at most
+    floor(disc(u) / |r|) + 1 half-integers.
+    """
+    _check_scan_args(u, rank_bound)
+    delta = int(disc_bar_reduced(u))
+    return sum(
+        (c_hi - c_lo + 1) * (delta // abs(r_w or u.r) + 1)
+        for r_w, c_lo, c_hi, _ in candidate_box(u, rank_bound)
+    )
+
+
+def _check_scan_args(u: ReducedClass, rank_bound: int) -> None:
+    if not isinstance(rank_bound, int) or rank_bound <= 0:
+        raise ValueError("rank_bound must be a positive integer")
+    if not u.is_lattice():
+        raise ValueError("u must be a lattice class (integer r, c and half-integer d)")
+
+
 def enumerate_destabilizers(
     u: ReducedClass,
     rank_bound: int,
@@ -262,10 +262,7 @@ def enumerate_destabilizers(
     (r, c, d) among the admissible classes producing it. Vertical walls sort
     first (by beta), semicircles follow by descending radius^2 then center.
     """
-    if not isinstance(rank_bound, int) or rank_bound <= 0:
-        raise ValueError("rank_bound must be a positive integer")
-    if not u.is_lattice():
-        raise ValueError("u must be a lattice class (integer r, c and half-integer d)")
+    _check_scan_args(u, rank_bound)
     delta = disc_bar_reduced(u)
     if delta < 0:
         warnings.warn(
@@ -274,20 +271,58 @@ def enumerate_destabilizers(
         )
         return []
 
+    # Doubled coordinates D = 2 d: every quantity below is an int.
+    r_u, c_u, D_u, delta = int(u.r), int(u.c), int(2 * u.dd), int(delta)
     by_wall: dict[Wall, ReducedClass] = {}
     for r_w, c_lo, c_hi, d_interval in candidate_box(u, rank_bound):
+        r_v = r_u - r_w
         for c_w in range(c_lo, c_hi + 1):
             iv = d_interval(c_w)
             if iv is None:
                 continue
-            for d_w in _half_int_range(*iv):
-                w = ReducedClass(r_w, c_w, d_w)
-                wall = _admit(u, w, delta, region)
-                if wall is None:
+            lo2, hi2 = 2 * iv[0], 2 * iv[1]
+            lo = -(-lo2.numerator // lo2.denominator)
+            hi = hi2.numerator // hi2.denominator
+            c_v = c_u - c_w
+            # (A), (B), (C) as a D + b >= 0, clipped to one exact interval.
+            for a, b in (
+                (-r_w, c_w * c_w),
+                (r_v, c_v * c_v - r_v * D_u),
+                (2 * r_w - r_u, delta - c_w * c_w - c_v * c_v + r_v * D_u),
+            ):
+                if a > 0:
+                    lo = max(lo, -(b // a))
+                elif a < 0:
+                    hi = min(hi, b // -a)
+                elif b < 0:
+                    hi = lo - 1
+            chi = r_u * c_w - r_w * c_u
+            for D in range(lo, hi + 1):
+                P = r_u * D - r_w * D_u  # 2 psi
+                O = c_u * D - c_w * D_u  # 2 omega
+                # (D) and (E): the window 0 <= c_w - b0 r_w <= c_u - b0 r_u at
+                # the apex b0 = P / (2 chi), or O / P on a vertical wall,
+                # cleared of its positive denominator.
+                if chi != 0:
+                    if P * P - 4 * O * chi <= 0:
+                        continue
+                    s = 1 if chi > 0 else -1
+                    cw = s * (2 * chi * c_w - P * r_w)
+                    cu = s * (2 * chi * c_u - P * r_u)
+                elif P != 0:
+                    s = 1 if P > 0 else -1
+                    cw = s * (P * c_w - O * r_w)
+                    cu = s * (P * c_u - O * r_u)
+                else:
                     continue
-                best = by_wall.get(wall)
-                if best is None or w.as_tuple() < best.as_tuple():
-                    by_wall[wall] = w
+                if not 0 <= cw <= cu:
+                    continue
+                w = ReducedClass(r_w, c_w, Fraction(D, 2))
+                wall = numerical_wall(u, w)
+                if region is not None and not _passes_region(wall, region):
+                    continue
+                # r, c and D ascend, so the first witness of a wall is its least.
+                by_wall.setdefault(wall, w)
 
     def sort_key(item):
         w, wall = item

@@ -1,12 +1,27 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from tiltwall.cli import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def out_of(capsys):
     captured = capsys.readouterr()
     return captured.out.strip(), captured.err.strip()
+
+
+def run_module(args: list[str]) -> subprocess.CompletedProcess:
+    """`python -m tiltwall ARGS` in a fresh interpreter, with the package from src."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "tiltwall", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 class TestChi:
@@ -170,6 +185,24 @@ class TestWalls:
         payload = json.loads(out_of(capsys)[0])
         assert payload["walls"][0] == {"w": "0,0,-1", "type": "vertical", "beta": "0"}
 
+    def test_negative_disc_plain_note(self):
+        proc = run_module(["walls", "--u", "1,0,1", "--rank-bound", "2"])
+        assert proc.returncode == 0
+        assert proc.stdout == "no walls\n"
+        assert proc.stderr == "note: disc(u) < 0, no tilt-semistable object has this class\n"
+        assert "UserWarning" not in proc.stderr and "cli.py" not in proc.stderr
+
+    def test_oversized_scan_refused_up_front(self, capsys):
+        code = run(["walls", "--u", "1,0,-1000000", "--rank-bound", "1000"])
+        assert code == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        assert "8033025441960358 candidate classes" in err
+
+    def test_scan_under_the_cap_runs(self, capsys):
+        assert run(["walls", "--u", "3,1,-7", "--rank-bound", "8"]) == 0
+        assert len(out_of(capsys)[0].splitlines()) == 57
+
 
 class TestChern:
     def test_line_bundle_report(self, capsys):
@@ -228,6 +261,26 @@ class TestSupport:
         assert code == 2
         assert "1000000000001 entries" in out_of(capsys)[1]
 
+    def test_too_many_cells_refused_before_search(self, capsys):
+        code = run(
+            ["support", "--alpha2", "1", "--beta", "0", "--s", "1", "--t", "1",
+             "--genus", "0", "--degree", "3",
+             "--lambda-grid", "0,1,1/9999", "--mu-grid", "1/9999,1,1/9999"]
+        )
+        assert code == 2
+        assert "99990000 cells" in out_of(capsys)[1]
+
+    def test_default_grid_accepted(self, capsys):
+        from tiltwall.cli import MAX_SUPPORT_CELLS, _grid
+
+        assert len(_grid("0,2,1/4")) * len(_grid("1/4,2,1/4")) == 72 <= MAX_SUPPORT_CELLS
+        code = run(
+            ["support", "--alpha2", "1", "--beta", "0", "--s", "1", "--t", "1",
+             "--genus", "0", "--degree", "3"]
+        )
+        assert code == 1
+        assert out_of(capsys) == ("no witness in grid", "")
+
     def test_grid_endpoints(self):
         from tiltwall.cli import MAX_GRID_ENTRIES, _grid
 
@@ -248,6 +301,12 @@ class TestSelftest:
         from tiltwall.selftest import run_selftest
 
         assert run_selftest(5) == run_selftest(5)
+
+
+class TestModule:
+    def test_python_m_tiltwall(self):
+        proc = run_module(["chi", "--genus", "2", "--degree", "5", "--char", "1,0,0,0,0,0"])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-1\n", "")
 
 
 class TestConfigAndRoundTrip:

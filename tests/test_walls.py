@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,15 @@ from tiltwall import (
     walls_meet,
 )
 from tiltwall.chern import disc_bar_reduced
+from tiltwall.walls import candidate_bound, candidate_box
 from conftest import rand_reduced
-from wall_oracle import covering_c_window, oracle_enumerate, result_to_set, sample_points
+from wall_oracle import (
+    covering_c_window,
+    oracle_enumerate,
+    oracle_in_region,
+    result_to_set,
+    sample_points,
+)
 
 
 class TestNumericalWall:
@@ -189,6 +197,9 @@ class TestEnumerate:
             (ReducedClass(-1, 1, 1), 2),
             (ReducedClass(-2, -3, 2), 2),
             (ReducedClass(2, -4, -3), 3),
+            # A class below the witness in (r, c, d) misses (C) by exactly 1.
+            (ReducedClass(2, 0, Fraction(-1, 2)), 2),
+            (ReducedClass(3, 3, 1), 2),
         ],
     )
     def test_against_oracle(self, u, rank_bound):
@@ -197,18 +208,48 @@ class TestEnumerate:
         assert got == want
 
     def test_against_oracle_randomized(self, rng):
-        checked = 0
+        checked = regions = 0
         while checked < 40:
             u = ReducedClass(
-                rng.randint(-3, 3), rng.randint(-5, 5), Fraction(rng.randint(-10, 10), 2)
+                rng.randint(-3, 3), rng.randint(-8, 8), Fraction(rng.randint(-20, 20), 2)
             )
-            if disc_bar_reduced(u) < 0 or u.is_zero():
-                continue
             rank_bound = rng.randint(1, 3)
+            delta = disc_bar_reduced(u)
+            # The oracle's cost grows like (disc(u) * rank_bound)^2.
+            if delta < 0 or u.is_zero() or delta * rank_bound > 80:
+                continue
             checked += 1
-            got = result_to_set(enumerate_destabilizers(u, rank_bound))
             want = oracle_enumerate(u, rank_bound, covering_c_window(u, rank_bound))
+            region = None
+            if want and rng.randrange(4) == 0:
+                # Under, on or above the apex of one of the oracle's own walls.
+                key, _ = sorted(want)[rng.randrange(len(want))]
+                if key[0] == "vertical":
+                    region = TiltPoint(Fraction(rng.randint(1, 8), 4), key[1])
+                else:
+                    region = TiltPoint(key[2] * Fraction(rng.randint(1, 5), 4), key[1])
+                want = {item for item in want if oracle_in_region(item[0], region)}
+                regions += 1
+            got = result_to_set(enumerate_destabilizers(u, rank_bound, region))
             assert got == want
+        assert regions >= 5
+
+    def test_candidate_bound_covers_box(self, rng):
+        for _ in range(60):
+            u = ReducedClass(
+                rng.randint(-4, 4), rng.randint(-8, 8), Fraction(rng.randint(-20, 20), 2)
+            )
+            rank_bound = rng.randint(1, 6)
+            size = 0
+            for _r, c_lo, c_hi, d_interval in candidate_box(u, rank_bound):
+                for c_w in range(c_lo, c_hi + 1):
+                    iv = d_interval(c_w)
+                    if iv is not None:
+                        size += math.floor(2 * iv[1]) - math.ceil(2 * iv[0]) + 1
+            assert size <= candidate_bound(u, rank_bound)
+        assert candidate_bound(ReducedClass(1, 0, 1), 2) == 0
+        with pytest.raises(ValueError):
+            candidate_bound(ReducedClass(1, 0, -1), 0)
 
     def test_window_holds_along_whole_wall(self):
         for u in (ReducedClass(1, 0, -1), ReducedClass(2, 1, 0), ReducedClass(1, 1, -2)):

@@ -80,6 +80,14 @@ def oracle_enumerate(u: ReducedClass, rank_bound: int, c_window: int):
     return {(k, tuple(wv.as_tuple())) for k, wv in found.items()}
 
 
+def oracle_in_region(key, pt: TiltPoint) -> bool:
+    """Whether an oracle wall key passes through or above the point pt."""
+    if key[0] == "vertical":
+        return pt.beta == key[1]
+    _, center, radius_sq = key
+    return (pt.beta - center) ** 2 + pt.alpha2 <= radius_sq
+
+
 def _ceil_sqrt(q: Fraction) -> int:
     """Least integer n >= 0 with n^2 >= q."""
     m = max(0, math.ceil(q))

@@ -54,7 +54,7 @@ from .inequalities import (
 )
 from .selftest import run_selftest
 from .stability import ChargeParams, mu_C, mu_HF, nu, nu_mixed, nu_sigma
-from .support import verify_support
+from .support import charge_functionals, family_forms, null_kernel_vector, verify_support
 from .walls import (
     EVERYWHERE,
     SemicircleWall,
@@ -373,6 +373,22 @@ def _cmd_chi(args) -> int:
     return 0
 
 
+def _no_witness_reason(p: ChargeParams, X: RuledThreefold, cells: int) -> tuple[dict, str]:
+    """Why `verify_support` found no witness, as a JSON reason and a note line."""
+    v = null_kernel_vector(charge_functionals(p, X), p, family_forms(p, X))
+    if v is None:
+        return (
+            {"kind": "grid_exhausted", "cells": cells},
+            f"note: none of the {cells} grid cells gave a witness",
+        )
+    vector = [format_rat(x) for x in v]
+    return (
+        {"kind": "null_kernel_vector", "vector": vector, "vanishing": ["Q_weak", "Q_disc"]},
+        f"note: Q_weak and Q_disc both vanish on v = ({','.join(vector)}) in ker Z, "
+        "so no mu*Q_weak + lambda*Q_disc is negative definite on ker Z",
+    )
+
+
 def _cmd_support(args) -> int:
     X = _threefold(args)
     _require(args, ["alpha2", "beta", "s", "t"])
@@ -382,10 +398,12 @@ def _cmd_support(args) -> int:
     p = ChargeParams(args.alpha2, args.beta, args.s, args.t)
     witness = verify_support(p, X, args.lambda_grid, args.mu_grid)
     if witness is None:
+        reason, note = _no_witness_reason(p, X, cells)
         if args.format == "json":
-            print(json.dumps({"witness": None}))
+            print(json.dumps({"witness": None, "reason": reason}))
         else:
             print("no witness in grid")
+            print(note, file=sys.stderr)
         return 1
     entries = witness.form.upper_entries()
     if args.format == "json":

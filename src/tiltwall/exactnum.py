@@ -482,11 +482,6 @@ class RatMatrix:
         return basis
 
 
-def kernel_basis(m: RatMatrix) -> list[tuple[Rat, ...]]:
-    """Canonical right-kernel basis of an exact rational matrix."""
-    return m.kernel_basis()
-
-
 def is_positive_definite(m: RatMatrix) -> bool:
     """Sylvester criterion by exact leading principal minors."""
     if not m.is_symmetric():

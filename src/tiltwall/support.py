@@ -9,6 +9,12 @@ first discriminant. A witness must be negative definite on ker Z (exact
 Sylvester minors on the restricted Gram matrix) and nonnegative on the
 equality-case fixture classes. Failure to find a witness in a finite grid is
 reported as inconclusive, never as a refutation.
+
+Certificate lemma: if a nonzero v in ker Z is isotropic for every generator
+of the family, then every combination Q of them has Q(v) = 0, so none is
+negative definite on ker Z. For every charge, v = (0, 0, 1, 0, beta,
+(alpha^2 + beta^2)/2) lies in ker Z and Q_weak(v) = Q_disc(v) = 0, so the
+whole family is ruled out before any grid cell is tested.
 """
 
 from __future__ import annotations
@@ -179,6 +185,27 @@ class SupportWitness:
     form: QForm6
 
 
+def family_forms(p: ChargeParams, X: RuledThreefold) -> tuple[QForm6, QForm6]:
+    """The generators (Q_weak, Q_disc) of the family `verify_support` searches."""
+    return bg_quadratic_form(p.tilt_point(), X), disc_bar_form()
+
+
+def null_kernel_vector(
+    fun: ChargeFunctionals, p: ChargeParams, forms: Sequence[QForm6]
+) -> tuple[Rat, ...] | None:
+    """v = (0, 0, 1, 0, beta, (alpha^2 + beta^2)/2) if Z(v) = 0 and q(v) = 0
+    for every q in `forms`, else None.
+
+    Such a v certifies that no combination of `forms` is negative definite
+    on ker Z. Both conditions are checked exactly, not assumed.
+    """
+    b = p.beta
+    v = (Fraction(0), Fraction(0), Fraction(1), Fraction(0), b, (p.alpha2 + b * b) / 2)
+    if fun.evaluate(v) != (0, 0) or any(q.value(v) != 0 for q in forms):
+        return None
+    return v
+
+
 def verify_support(
     p: ChargeParams,
     X: RuledThreefold,
@@ -189,6 +216,12 @@ def verify_support(
 
     Returns the first witness in grid order (lambda outer, mu inner), or None.
     None is inconclusive: the family may simply miss every witness.
+
+    Before the grid, `null_kernel_vector` looks for a kernel vector isotropic
+    for both generators. By the certificate lemma in the module docstring
+    such a vector rules out every cell, so None is returned without a
+    Sylvester test. The vector exists for every charge, so the grid only
+    runs for a family the certificate does not cover.
     """
     lams = [Fraction(x) for x in lambda_candidates]
     mus = [Fraction(x) for x in mu_candidates]
@@ -197,12 +230,11 @@ def verify_support(
     if any(x <= 0 for x in mus):
         raise ValueError("mu candidates must be positive")
     fun = charge_functionals(p, X)
-    m = fun.matrix()
-    if m.rank() < 2:
+    q_weak, q_disc = family_forms(p, X)
+    if null_kernel_vector(fun, p, [q_weak, q_disc]) is not None:
         return None
-    kernel = m.kernel_basis()
-    q_weak = bg_quadratic_form(p.tilt_point(), X)
-    q_disc = disc_bar_form()
+    # The (dH, e) minor of Z is -1 for every input, so ker Z has dimension 4.
+    kernel = fun.matrix().kernel_basis()
     fixtures = equality_case_fixtures(X)
 
     for lam in lams:

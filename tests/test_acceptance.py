@@ -29,7 +29,6 @@ from tiltwall import (
     equality_case_fixtures,
     euler_char,
     is_negative_definite_on,
-    kernel_basis,
     line_bundle_char,
     nabla,
     nu,
@@ -273,7 +272,7 @@ def test_criterion_8_support_machinery():
     p = ChargeParams(1, 0, 1, 1)
     witness = verify_support(p, X, [Fraction(k, 4) for k in range(9)], [Fraction(k, 4) for k in range(1, 9)])
     if witness is not None:
-        basis = kernel_basis(charge_functionals(p, X).matrix())
+        basis = charge_functionals(p, X).matrix().kernel_basis()
         count = 0
         while count < 1000:
             coeffs = [rng.randint(-9, 9) for _ in basis]

@@ -279,7 +279,39 @@ class TestSupport:
              "--genus", "0", "--degree", "3"]
         )
         assert code == 1
-        assert out_of(capsys) == ("no witness in grid", "")
+        assert out_of(capsys) == (
+            "no witness in grid",
+            "note: Q_weak and Q_disc both vanish on v = (0,0,1,0,0,1/2) in ker Z, "
+            "so no mu*Q_weak + lambda*Q_disc is negative definite on ker Z",
+        )
+
+    def test_json_reason_names_the_null_kernel_vector(self, capsys):
+        code = run(
+            ["support", "--alpha2", "1/3", "--beta=-1/2", "--s", "2", "--t", "1",
+             "--genus", "1", "--degree", "2", "--format", "json"]
+        )
+        assert code == 1
+        out, err = out_of(capsys)
+        assert err == ""
+        assert json.loads(out) == {
+            "witness": None,
+            "reason": {
+                "kind": "null_kernel_vector",
+                "vector": ["0", "0", "1", "0", "-1/2", "7/24"],
+                "vanishing": ["Q_weak", "Q_disc"],
+            },
+        }
+
+    def test_reason_without_certificate_counts_cells(self, capsys, monkeypatch):
+        import tiltwall.cli
+
+        monkeypatch.setattr(tiltwall.cli, "null_kernel_vector", lambda fun, p, forms: None)
+        code = run(
+            ["support", "--alpha2", "1", "--beta", "0", "--s", "1", "--t", "1",
+             "--genus", "0", "--degree", "3", "--format", "json"]
+        )
+        assert code == 1
+        assert json.loads(out_of(capsys)[0])["reason"] == {"kind": "grid_exhausted", "cells": 72}
 
     def test_grid_endpoints(self):
         from tiltwall.cli import MAX_GRID_ENTRIES, _grid

@@ -5,8 +5,10 @@ import pytest
 from tiltwall import (
     CHAR_O,
     SKYSCRAPER,
+    ChargeFunctionals,
     ChargeParams,
     CharVector,
+    QForm6,
     RatMatrix,
     RuledThreefold,
     TiltPoint,
@@ -17,12 +19,14 @@ from tiltwall import (
     disc_bar,
     disc_bar_form,
     equality_case_fixtures,
+    family_forms,
     is_negative_definite_on,
-    kernel_basis,
     line_bundle_char,
     liu_abcd,
+    null_kernel_vector,
     verify_support,
 )
+from tiltwall import support
 from conftest import rand_lattice_char, rand_point, rand_threefold
 
 BASIS = [CharVector(*[int(i == j) for j in range(6)]) for i in range(6)]
@@ -86,10 +90,16 @@ class TestKernel:
             p = _params(rng)
             m = charge_functionals(p, X).matrix()
             assert m.rank() == 2
-            basis = kernel_basis(m)
+            basis = m.kernel_basis()
             assert len(basis) == 4
             for v in basis:
                 assert m.mul_vec(v) == (0, 0)
+
+    def test_dh_e_minor_is_minus_one(self, rng):
+        # the reason Z always has rank 2 and ker Z dimension 4
+        for _ in range(50):
+            fun = charge_functionals(_params(rng), rand_threefold(rng))
+            assert fun.im_coeffs[4] * fun.re_coeffs[5] - fun.re_coeffs[4] * fun.im_coeffs[5] == -1
 
 
 class TestDiscBarForm:
@@ -158,14 +168,10 @@ class TestNegativeDefiniteOn:
 
     @pytest.mark.parametrize("m2,basis,expect", NEG_DEFINITE_FIXTURES)
     def test_two_dim_fixtures(self, m2, basis, expect):
-        from tiltwall import QForm6
-
         q = QForm6(self._embed(m2))
         assert is_negative_definite_on(q, self._embed_basis(basis)) is expect
 
     def test_negated_identity_form(self):
-        from tiltwall import QForm6
-
         q = QForm6(RatMatrix.identity(6).scale(-1))
         assert is_negative_definite_on(q, [tuple(v.as_tuple()) for v in BASIS])
 
@@ -185,8 +191,6 @@ class TestNegativeDefiniteOn:
             assert is_negative_definite_on(q, [ch.as_tuple()]) is (q.value_char(ch) < 0)
 
     def test_rejects_dependent_basis(self):
-        from tiltwall import QForm6
-
         q = QForm6(RatMatrix.identity(6).scale(-1))
         v = (1, 0, 0, 0, 0, 0)
         w = (2, 0, 0, 0, 0, 0)
@@ -194,8 +198,6 @@ class TestNegativeDefiniteOn:
             is_negative_definite_on(q, [v, w])
 
     def test_rejects_empty_basis(self):
-        from tiltwall import QForm6
-
         q = QForm6(RatMatrix.identity(6).scale(-1))
         with pytest.raises(ValueError):
             is_negative_definite_on(q, [])
@@ -218,6 +220,7 @@ class TestVerifySupport:
             assert fun.evaluate(v.as_tuple()) == (0, 0)
             assert disc_bar_form().value_char(v) == 0
             assert bg_quadratic_form(TiltPoint(p.alpha2, p.beta), X).value_char(v) == 0
+            assert null_kernel_vector(fun, p, family_forms(p, X)) == v.as_tuple()
 
     def test_search_reports_inconclusive(self):
         X = RuledThreefold(0, 3)
@@ -226,21 +229,51 @@ class TestVerifySupport:
         mus = [Fraction(k, 4) for k in range(1, 9)]
         assert verify_support(p, X, grid, mus) is None
 
-    def test_witness_would_be_reverified(self, rng):
-        # exercise the re-verification path the acceptance suite would run on
-        # any found witness: negativity on random kernel vectors
+    def test_grid_not_run_when_certificate_holds(self, rng, monkeypatch):
+        def no_grid(q, basis):
+            raise AssertionError("grid cell tested despite a null kernel vector")
+
+        monkeypatch.setattr(support, "is_negative_definite_on", no_grid)
+        lams = [Fraction(k, 4) for k in range(9)]
+        mus = [Fraction(k, 4) for k in range(1, 9)]
+        for _ in range(25):
+            assert verify_support(_params(rng), rand_threefold(rng), lams, mus) is None
+
+    def test_certificate_declines(self, rng):
+        X = rand_threefold(rng)
+        p = _params(rng)
+        fun = charge_functionals(p, X)
+        # -I is negative on every nonzero v
+        minus_identity = QForm6(RatMatrix.identity(6).scale(-1))
+        assert null_kernel_vector(fun, p, [disc_bar_form(), minus_identity]) is None
+        # v is not in the kernel of a charge with Re Z = e
+        e_only = ChargeFunctionals((0, 0, 0, 0, 0, 1), fun.im_coeffs)
+        assert null_kernel_vector(e_only, p, family_forms(p, X)) is None
+
+    def test_grid_witness_reverified_when_certificate_declines(self, rng, monkeypatch):
+        # Adding Q_fib = dH^2 - 2 cHH e to Q_weak breaks the null line
+        # (Q_fib(v) = -alpha^2), and 15/4 Q_weak + 1/4 Q_fib + 1/4 Q_disc is
+        # a witness here: the grid path must find it and it must re-verify.
         X = RuledThreefold(0, 3)
         p = ChargeParams(1, 0, 1, 1)
-        witness = verify_support(p, X, [0, 1], [1])
-        if witness is None:
-            return
-        basis = kernel_basis(charge_functionals(p, X).matrix())
+        rows = [[Fraction(0)] * 6 for _ in range(6)]
+        rows[4][4] = Fraction(1)
+        rows[2][5] = rows[5][2] = Fraction(-1)
+        q_fib = QForm6(RatMatrix(rows))
+        q_weak, q_disc = family_forms(p, X)
+        forms = (q_weak.add(q_fib.scale(Fraction(1, 15))), q_disc)
+        monkeypatch.setattr(support, "family_forms", lambda p, X: forms)
+        witness = verify_support(p, X, [Fraction(1, 4)], [Fraction(15, 4)])
+        assert witness is not None
+        basis = charge_functionals(p, X).matrix().kernel_basis()
         for _ in range(200):
             coeffs = [rng.randint(-5, 5) for _ in basis]
             if all(c == 0 for c in coeffs):
                 continue
             v = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(6)]
             assert witness.form.value(v) < 0
+        for ch in equality_case_fixtures(X):
+            assert witness.form.value_char(ch) >= 0
 
     def test_validates_grids(self):
         X = RuledThreefold(0, 3)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QuadRat, Rat, format_rat, parse_rat
+from .exactnum import QuadRat, Rat, as_rat, format_rat, parse_rat, rat_fields
 from .geometry import CharVector, RuledThreefold, line_bundle_char, tensor_product_char
 
 
@@ -19,8 +19,7 @@ class ReducedClass:
     dd: Rat
 
     def __post_init__(self):
-        for name in ("r", "c", "dd"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        rat_fields(self, ("r", "c", "dd"))
 
     def as_tuple(self) -> tuple[Rat, Rat, Rat]:
         return (self.r, self.c, self.dd)
@@ -57,8 +56,7 @@ class TiltPoint:
     beta: Rat
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha2", Fraction(self.alpha2))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+        rat_fields(self, ("alpha2", "beta"))
         if self.alpha2 <= 0:
             raise ValueError("alpha2 must be positive")
 
@@ -86,16 +84,41 @@ def validate_lattice_reduced(u: ReducedClass) -> ReducedClass:
 
 
 def twist(ch: CharVector, beta: Rat | int, X: RuledThreefold) -> CharVector:
-    """Twisted character at the divisor beta*H (exponential group law in beta)."""
-    b = Fraction(beta)
+    """Twisted character ch * e^(-beta H) (exponential group law in beta).
+
+    With beta = n/q in lowest terms and ch = (R, C1, C2, DF, DH, E)/L from
+    `CharVector._scaled`, each coordinate of the twist is an integer
+    polynomial over one common denominator:
+
+        cHF^b = (q C1 - n R) / (L q)
+        cHH^b = (q C2 - n d R) / (L q)
+        dF^b  = (2 q^2 DF - 2 n q C1 + n^2 R) / (2 L q^2)
+        dH^b  = (2 q^2 DH - 2 n q C2 + n^2 d R) / (2 L q^2)
+        e^b   = (6 q^3 E - 6 n q^2 DH + 3 n^2 q C2 - d n^3 R) / (6 L q^3)
+
+    These are the rational formulas e - b dH + b^2/2 cHH - b^3/6 d r (and
+    their lower-degree analogues) multiplied through by the denominator.
+    Numerators are exact Python ints and each coordinate is divided once,
+    by Fraction(numerator, denominator), so the result is exact. beta = 0
+    returns ch itself.
+    """
+    b = as_rat(beta)
+    if not b:
+        return ch
+    n, q = b.numerator, b.denominator
     d = X.degree
+    L, (R, C1, C2, DF, DH, E) = ch._scaled()
+    n2, q2 = n * n, q * q
     return CharVector(
         ch.r,
-        ch.cHF - b * ch.r,
-        ch.cHH - b * d * ch.r,
-        ch.dF - b * ch.cHF + b * b / 2 * ch.r,
-        ch.dH - b * ch.cHH + b * b / 2 * d * ch.r,
-        ch.e - b * ch.dH + b * b / 2 * ch.cHH - b**3 / 6 * d * ch.r,
+        Fraction(q * C1 - n * R, L * q),
+        Fraction(q * C2 - n * d * R, L * q),
+        Fraction(2 * q2 * DF - 2 * n * q * C1 + n2 * R, 2 * L * q2),
+        Fraction(2 * q2 * DH - 2 * n * q * C2 + n2 * d * R, 2 * L * q2),
+        Fraction(
+            6 * q2 * q * E - 6 * n * q2 * DH + 3 * n2 * q * C2 - d * n2 * n * R,
+            6 * L * q2 * q,
+        ),
     )
 
 

@@ -28,6 +28,26 @@ def parse_rat(text: str) -> Rat:
     return Fraction(t)
 
 
+def as_rat(x: Rat | int) -> Rat:
+    """The one coercion rule for exact fields: x itself when it is already a
+    Fraction, else Fraction(x). A float is rejected, because its binary value
+    (0.1 is 3602879701896397/2**55) is never the rational a caller meant."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"exact rational expected, got float {x!r}")
+    return Fraction(x)
+
+
+def rat_fields(obj, names: tuple[str, ...]) -> None:
+    """Apply `as_rat` to the named fields of a frozen dataclass instance,
+    writing back only the ones that were not already Fractions."""
+    for name in names:
+        x = getattr(obj, name)
+        if type(x) is not Fraction:
+            object.__setattr__(obj, name, as_rat(x))
+
+
 def format_rat(q: Rat | int) -> str:
     return str(Fraction(q))
 
@@ -59,19 +79,19 @@ def ceil_sqrt(q: Rat | int) -> int:
 class ExtRat:
     """A rational number or +infinity, totally ordered.
 
-    Arithmetic involving the infinite value raises instead of propagating.
-    Two infinite values compare equal (slope comparisons rely on this).
+    It carries no arithmetic: callers unwrap `.value` first. Two infinite
+    values compare equal (slope comparisons rely on this).
     Only == and < are written out; total_ordering derives the rest.
     """
 
     __slots__ = ("_v",)
 
     def __init__(self, value: Rat | int | None):
-        self._v = None if value is None else Fraction(value)
+        self._v = None if value is None else as_rat(value)
 
     @staticmethod
     def finite(value: Rat | int) -> "ExtRat":
-        return ExtRat(Fraction(value))
+        return ExtRat(as_rat(value))
 
     @property
     def is_infinite(self) -> bool:
@@ -108,36 +128,6 @@ class ExtRat:
         if k is None:
             return True
         return self._v < k
-
-    def _finite_pair(self, other) -> tuple[Fraction, Fraction]:
-        if isinstance(other, (int, Fraction)):
-            other = ExtRat(other)
-        if not isinstance(other, ExtRat):
-            raise TypeError(f"cannot combine ExtRat with {type(other).__name__}")
-        if self._v is None or other._v is None:
-            raise ValueError("arithmetic involving +inf is rejected")
-        return self._v, other._v
-
-    def __add__(self, other):
-        a, b = self._finite_pair(other)
-        return ExtRat(a + b)
-
-    def __sub__(self, other):
-        a, b = self._finite_pair(other)
-        return ExtRat(a - b)
-
-    def __mul__(self, other):
-        a, b = self._finite_pair(other)
-        return ExtRat(a * b)
-
-    def __truediv__(self, other):
-        a, b = self._finite_pair(other)
-        return ExtRat(a / b)
-
-    def __neg__(self):
-        if self._v is None:
-            raise ValueError("arithmetic involving +inf is rejected")
-        return ExtRat(-self._v)
 
     def __repr__(self):
         return f"ExtRat({'inf' if self._v is None else self._v!r})"

@@ -14,10 +14,11 @@ inside the type.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Rat, format_rat, parse_rat
+from .exactnum import Rat, format_rat, parse_rat, rat_fields
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,18 @@ class CharVector:
     e: Rat
 
     def __post_init__(self):
-        for name in ("r", "cHF", "cHH", "dF", "dH", "e"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        rat_fields(self, ("r", "cHF", "cHH", "dF", "dH", "e"))
 
     def as_tuple(self) -> tuple[Rat, Rat, Rat, Rat, Rat, Rat]:
         return (self.r, self.cHF, self.cHH, self.dF, self.dH, self.e)
+
+    def _scaled(self) -> tuple[int, list[int]]:
+        """(L, [R, C1, C2, DF, DH, E]): L is the lcm of the six denominators
+        and each capital is its coordinate times L, an int."""
+        t = self.as_tuple()
+        dens = [x.denominator for x in t]
+        L = math.lcm(*dens)
+        return L, [x.numerator * (L // q) for x, q in zip(t, dens)]
 
     def is_lattice(self) -> bool:
         """Integrality pattern Z, Z, Z, Z/2, Z/2, Z/6."""
@@ -132,32 +140,44 @@ def line_bundle_char(a: int, b: int, X: RuledThreefold) -> CharVector:
     )
 
 
-def _hf_basis(ch: CharVector, d: int):
-    """Coefficients (p, q, x, y) with ch1 = pH + qF and ch2 = xH^2 + yHF."""
-    p = ch.cHF
-    q = ch.cHH - p * d
-    x = ch.dF
-    y = ch.dH - x * d
-    return p, q, x, y
-
-
 def tensor_product_char(A: CharVector, B: CharVector, X: RuledThreefold) -> CharVector:
-    """Product of characters in the numerical ring, truncated above degree 3."""
+    """Product of characters in the numerical ring, truncated above degree 3.
+
+    Write ch1 = pH + qF and ch2 = xH^2 + yHF; then (A*B)_k = sum over
+    i + j = k of A_i*B_j with H^2 F = 1, H^3 = d, F^2 = 0. Every output
+    coordinate is bilinear in (A, B), so with A = (Ra, C1a, ..., Ea)/La and
+    B = (Rb, ..., Eb)/Lb from `CharVector._scaled` each one is an integer
+    numerator over the single denominator La*Lb:
+
+        r   = Ra Rb
+        cHF = Ra C1b + Rb C1a
+        cHH = Ra C2b + Rb C2a
+        dF  = Ra DFb + Rb DFa + C1a C1b
+        dH  = Ra DHb + Rb DHa + C1a C2b + C2a C1b - d C1a C1b
+        e   = Ra Eb + Rb Ea + C1a DHb + C1b DHa + C2a DFb + C2b DFa
+              - d (C1a DFb + C1b DFa)
+
+    The numerators are exact Python ints, and the only division is the one
+    Fraction(numerator, La*Lb) per coordinate, so the result equals the
+    rational evaluation exactly.
+    """
     d = X.degree
-    pa, qa, xa, ya = _hf_basis(A, d)
-    pb, qb, xb, yb = _hf_basis(B, d)
-    r = A.r * B.r
-    p = A.r * pb + B.r * pa
-    q = A.r * qb + B.r * qa
-    x = A.r * xb + B.r * xa + pa * pb
-    y = A.r * yb + B.r * ya + pa * qb + qa * pb
-    e = (
-        A.r * B.e
-        + B.r * A.e
-        + pa * xb * d + pa * yb + qa * xb
-        + pb * xa * d + pb * ya + qb * xa
+    La, (Ra, C1a, C2a, DFa, DHa, Ea) = A._scaled()
+    Lb, (Rb, C1b, C2b, DFb, DHb, Eb) = B._scaled()
+    L = La * Lb
+    cc = C1a * C1b
+    return CharVector(
+        Fraction(Ra * Rb, L),
+        Fraction(Ra * C1b + Rb * C1a, L),
+        Fraction(Ra * C2b + Rb * C2a, L),
+        Fraction(Ra * DFb + Rb * DFa + cc, L),
+        Fraction(Ra * DHb + Rb * DHa + C1a * C2b + C2a * C1b - d * cc, L),
+        Fraction(
+            Ra * Eb + Rb * Ea + C1a * DHb + C1b * DHa + C2a * DFb + C2b * DFa
+            - d * (C1a * DFb + C1b * DFa),
+            L,
+        ),
     )
-    return CharVector(r, p, p * d + q, x, x * d + y, e)
 
 
 def dual_char(A: CharVector) -> CharVector:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import TiltPoint, twist
-from .exactnum import INFINITY, ExtRat, Rat
+from .exactnum import INFINITY, ExtRat, Rat, rat_fields
 from .geometry import CharVector, RuledThreefold
 
 
@@ -25,8 +25,7 @@ class ChargeParams:
     t: Rat
 
     def __post_init__(self):
-        for name in ("alpha2", "beta", "s", "t"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        rat_fields(self, ("alpha2", "beta", "s", "t"))
         if self.alpha2 <= 0:
             raise ValueError("alpha2 must be positive")
         if self.s <= 0 or self.t <= 0:
@@ -42,8 +41,7 @@ class ChargeValue:
     im: Rat
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        rat_fields(self, ("re", "im"))
 
     def __add__(self, other: "ChargeValue") -> "ChargeValue":
         return ChargeValue(self.re + other.re, self.im + other.im)

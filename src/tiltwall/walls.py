@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import ReducedClass, TiltPoint, disc_bar_reduced
-from .exactnum import Rat, ceil_sqrt
+from .exactnum import Rat, ceil_sqrt, rat_fields
 from .stability import nu
 
 
@@ -79,7 +79,7 @@ class VerticalWall:
     beta: Rat
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", Fraction(self.beta))
+        rat_fields(self, ("beta",))
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,7 @@ class SemicircleWall:
     radius_sq: Rat
 
     def __post_init__(self):
-        object.__setattr__(self, "center", Fraction(self.center))
-        object.__setattr__(self, "radius_sq", Fraction(self.radius_sq))
+        rat_fields(self, ("center", "radius_sq"))
         if self.radius_sq <= 0:
             raise ValueError("semicircle needs positive squared radius")
 

@@ -49,3 +49,20 @@ tilt_points = st.builds(
     st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(lambda q: q > 0),
     rats,
 )
+
+# Non-lattice entries with large denominators, for the integer kernels of
+# twist and tensor_product_char against their rational reference formulas.
+wide_rats = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+
+wide_chars = st.builds(CharVector, wide_rats, wide_rats, wide_rats, wide_rats, wide_rats, wide_rats)
+
+# beta = 0 (as int and as Fraction), integers, and denominators up to 10^12.
+wide_betas = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-50, 50),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**12),
+)
+
+# Degrees on both sides of zero.
+wide_threefolds = st.builds(RuledThreefold, st.integers(0, 5), st.integers(-20, 20))

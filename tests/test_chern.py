@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from tiltwall import (
     CHAR_O,
@@ -10,6 +10,7 @@ from tiltwall import (
     QuadRat,
     ReducedClass,
     RuledThreefold,
+    TiltPoint,
     beta_bar,
     f_ch2_twisted,
     line_bundle_char,
@@ -18,7 +19,29 @@ from tiltwall import (
     tensor_product_char,
     twist,
 )
-from conftest import lattice_chars, rand_lattice_char, rats, threefolds
+from conftest import (
+    lattice_chars,
+    rand_lattice_char,
+    rats,
+    threefolds,
+    wide_betas,
+    wide_chars,
+    wide_threefolds,
+)
+
+
+def reference_twist(ch, beta, X):
+    """The rational formulas of the twist, the reference for the integer kernel."""
+    b = Fraction(beta)
+    d = X.degree
+    return CharVector(
+        ch.r,
+        ch.cHF - b * ch.r,
+        ch.cHH - b * d * ch.r,
+        ch.dF - b * ch.cHF + b * b / 2 * ch.r,
+        ch.dH - b * ch.cHH + b * b / 2 * d * ch.r,
+        ch.e - b * ch.dH + b * b / 2 * ch.cHH - b**3 / 6 * d * ch.r,
+    )
 
 
 class TestTwist:
@@ -36,6 +59,22 @@ class TestTwist:
     @given(lattice_chars, rats, rats, threefolds)
     def test_group_law(self, ch, b1, b2, X):
         assert twist(twist(ch, b1, X), b2, X) == twist(ch, b1 + b2, X)
+
+    @given(wide_chars, wide_betas, wide_threefolds)
+    @example(CharVector(1, 0, 0, 0, 0, 0), Fraction(1, 3), RuledThreefold(0, 0))
+    @example(
+        CharVector(Fraction(-7, 999983), Fraction(5, 3), 2, Fraction(1, 10**6), -1, Fraction(11, 7)),
+        Fraction(-999999999989, 10**12),
+        RuledThreefold(2, -5),
+    )
+    def test_matches_rational_formulas(self, ch, b, X):
+        tw = twist(ch, b, X)
+        assert tw == reference_twist(ch, b, X)
+        assert all(type(x) is Fraction for x in tw.as_tuple())
+
+    def test_float_beta_rejected(self):
+        with pytest.raises(TypeError):
+            twist(CHAR_O, 0.5, RuledThreefold(0, 1))
 
     def test_integer_twist_is_line_bundle_tensor(self, rng):
         for _ in range(40):
@@ -73,6 +112,22 @@ class TestTensorLine:
     def test_fiber_twist_preserves_reduction(self, ch, X):
         for m in (-2, 3):
             assert reduced(tensor_line(ch, 0, m, X)) == reduced(ch)
+
+
+class TestFloatRejected:
+    def test_reduced_class(self):
+        assert ReducedClass(1, Fraction(1, 2), 0).c == Fraction(1, 2)
+        for i in range(3):
+            entries = [1, 0, 0]
+            entries[i] = 0.5
+            with pytest.raises(TypeError):
+                ReducedClass(*entries)
+
+    def test_tilt_point(self):
+        with pytest.raises(TypeError):
+            TiltPoint(0.5, 0)
+        with pytest.raises(TypeError):
+            TiltPoint(1, 0.1)
 
 
 class TestReduced:

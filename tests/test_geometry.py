@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from tiltwall import (
     CHAR_O,
@@ -20,7 +20,7 @@ from tiltwall import (
 )
 from tiltwall.geometry import validate_lattice_char
 
-from conftest import lattice_chars, rand_lattice_char, threefolds
+from conftest import lattice_chars, rand_lattice_char, threefolds, wide_chars, wide_threefolds
 
 GD_GRID = [(g, d) for g in range(6) for d in range(-3, 6)]
 
@@ -72,6 +72,10 @@ class MiniRing:
         x = ch.dF
         y = ch.dH - x * self.d
         return {"1": ch.r, "H": p, "F": q, "HH": x, "HF": y, "pt": ch.e}
+
+    def to_char(self, z: dict) -> CharVector:
+        r, p, q, x, y, e = (z.get(b, Fraction(0)) for b in self.BASIS)
+        return CharVector(r, p, p * self.d + q, x, x * self.d + y, e)
 
 def mini_chi(g: int, d: int, ch: CharVector) -> Fraction:
     """chi via the oracle ring: integrate ch(E).td(X) in degree 3."""
@@ -137,7 +141,54 @@ class TestLineBundle:
             assert lhs == line_bundle_char(a1 + a2, b1 + b2, X)
 
 
+def _hf_basis(ch, d):
+    """Coefficients (p, q, x, y) with ch1 = pH + qF and ch2 = xH^2 + yHF."""
+    p = ch.cHF
+    q = ch.cHH - p * d
+    x = ch.dF
+    y = ch.dH - x * d
+    return p, q, x, y
+
+
+def reference_tensor_product_char(A, B, X):
+    """The rational product formulas, the reference for the integer kernel."""
+    d = X.degree
+    pa, qa, xa, ya = _hf_basis(A, d)
+    pb, qb, xb, yb = _hf_basis(B, d)
+    r = A.r * B.r
+    p = A.r * pb + B.r * pa
+    q = A.r * qb + B.r * qa
+    x = A.r * xb + B.r * xa + pa * pb
+    y = A.r * yb + B.r * ya + pa * qb + qa * pb
+    e = (
+        A.r * B.e
+        + B.r * A.e
+        + pa * xb * d + pa * yb + qa * xb
+        + pb * xa * d + pb * ya + qb * xa
+    )
+    return CharVector(r, p, p * d + q, x, x * d + y, e)
+
+
 class TestTensorDual:
+    @given(wide_chars, wide_chars, wide_threefolds)
+    @example(CHAR_O, SKYSCRAPER, RuledThreefold(0, 0))
+    @example(
+        CharVector(Fraction(3, 999983), -2, Fraction(5, 7), Fraction(-1, 2), Fraction(1, 10**6), 4),
+        CharVector(-1, Fraction(7, 6), 0, Fraction(2, 999979), 3, Fraction(-5, 6)),
+        RuledThreefold(1, -9),
+    )
+    def test_matches_rational_formulas(self, a, b, X):
+        ab = tensor_product_char(a, b, X)
+        assert ab == reference_tensor_product_char(a, b, X)
+        assert all(type(x) is Fraction for x in ab.as_tuple())
+
+    def test_against_ring_oracle(self, rng):
+        for _ in range(40):
+            X = RuledThreefold(rng.randint(0, 4), rng.randint(-3, 5))
+            a, b = rand_lattice_char(rng), rand_lattice_char(rng)
+            ring = MiniRing(X.degree)
+            assert ring.to_char(ring.mul(ring.from_char(a), ring.from_char(b))) == tensor_product_char(a, b, X)
+
     @given(lattice_chars, threefolds)
     def test_unit(self, ch, X):
         assert tensor_product_char(ch, CHAR_O, X) == ch
@@ -251,6 +302,19 @@ class TestEulerPair:
             a = rng.randint(-3, 3)
             lhs = euler_char(X, line_bundle_char(a, 0, X))
             assert lhs == euler_char_pair(X, line_bundle_char(-a, 0, X), CHAR_O)
+
+
+class TestCoercion:
+    def test_entries_become_fractions(self):
+        ch = CharVector(1, Fraction(1, 2), 0, 0, 0, 0)
+        assert all(type(x) is Fraction for x in ch.as_tuple())
+
+    def test_float_entry_rejected(self):
+        for i in range(6):
+            entries = [1, 0, 0, 0, 0, 0]
+            entries[i] = 0.1
+            with pytest.raises(TypeError):
+                CharVector(*entries)
 
 
 class TestSerialization:

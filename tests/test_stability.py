@@ -108,7 +108,7 @@ class TestNuMixed:
             if base.is_infinite:
                 assert shifted.is_infinite
             else:
-                assert shifted == base + m
+                assert shifted == base.value + m
 
     def test_rejects_nonpositive_t(self):
         X = RuledThreefold(0, 1)
@@ -259,3 +259,18 @@ class TestChargeParams:
             ChargeParams(1, 0, 0, 1)
         with pytest.raises(ValueError):
             ChargeParams(1, 0, 1, Fraction(-1, 2))
+
+    def test_float_rejected(self):
+        for i in range(4):
+            entries = [1, 0, 1, 1]
+            entries[i] = 0.5
+            with pytest.raises(TypeError):
+                ChargeParams(*entries)
+
+
+class TestChargeValue:
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            ChargeValue(0.5, 1)
+        with pytest.raises(TypeError):
+            ChargeValue(1, 0.5)

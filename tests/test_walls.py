@@ -44,6 +44,14 @@ class TestNumericalWall:
     def test_point_locus_is_absent(self):
         assert numerical_wall(ReducedClass(1, 0, 0), ReducedClass(1, 1, 0)) is None
 
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            VerticalWall(0.5)
+        with pytest.raises(TypeError):
+            SemicircleWall(0.5, 1)
+        with pytest.raises(TypeError):
+            SemicircleWall(0, 0.25)
+
     def test_empty_locus_is_absent(self):
         # chi != 0 with negative squared radius
         assert numerical_wall(ReducedClass(0, 1, 0), ReducedClass(1, 0, -1)) is None

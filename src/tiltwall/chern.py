@@ -83,43 +83,55 @@ def validate_lattice_reduced(u: ReducedClass) -> ReducedClass:
     return u
 
 
-def twist(ch: CharVector, beta: Rat | int, X: RuledThreefold) -> CharVector:
-    """Twisted character ch * e^(-beta H) (exponential group law in beta).
+def _twist_scaled(ch: CharVector, beta: Rat | int, X: RuledThreefold) -> tuple[int, list[int]]:
+    """(M, [R, C1, C2, DF, DH, E]): the twist ch * e^(-beta H) as six exact
+    integer numerators over one positive denominator M.
 
-    With beta = n/q in lowest terms and ch = (R, C1, C2, DF, DH, E)/L from
-    `CharVector._scaled`, each coordinate of the twist is an integer
-    polynomial over one common denominator:
+    With beta = n/q in lowest terms and ch = (R0, C10, C20, DF0, DH0, E0)/L
+    from `CharVector._scaled`, M = 6 L q^3 and
 
-        cHF^b = (q C1 - n R) / (L q)
-        cHH^b = (q C2 - n d R) / (L q)
-        dF^b  = (2 q^2 DF - 2 n q C1 + n^2 R) / (2 L q^2)
-        dH^b  = (2 q^2 DH - 2 n q C2 + n^2 d R) / (2 L q^2)
-        e^b   = (6 q^3 E - 6 n q^2 DH + 3 n^2 q C2 - d n^3 R) / (6 L q^3)
+        R  = 6 q^3 R0
+        C1 = 6 q^2 (q C10 - n R0)
+        C2 = 6 q^2 (q C20 - n d R0)
+        DF = 3 q (2 q^2 DF0 - 2 n q C10 + n^2 R0)
+        DH = 3 q (2 q^2 DH0 - 2 n q C20 + n^2 d R0)
+        E  = 6 q^3 E0 - 6 n q^2 DH0 + 3 n^2 q C20 - d n^3 R0
 
     These are the rational formulas e - b dH + b^2/2 cHH - b^3/6 d r (and
-    their lower-degree analogues) multiplied through by the denominator.
-    Numerators are exact Python ints and each coordinate is divided once,
-    by Fraction(numerator, denominator), so the result is exact. beta = 0
-    returns ch itself.
+    their lower-degree analogues) multiplied through by M. At beta = 0 it
+    returns `ch._scaled()`, so M = L there. Every slope, charge and defect of
+    a twisted character is an integer polynomial in this output, divided once.
     """
     b = as_rat(beta)
     if not b:
-        return ch
+        return ch._scaled()
     n, q = b.numerator, b.denominator
     d = X.degree
     L, (R, C1, C2, DF, DH, E) = ch._scaled()
     n2, q2 = n * n, q * q
-    return CharVector(
-        ch.r,
-        Fraction(q * C1 - n * R, L * q),
-        Fraction(q * C2 - n * d * R, L * q),
-        Fraction(2 * q2 * DF - 2 * n * q * C1 + n2 * R, 2 * L * q2),
-        Fraction(2 * q2 * DH - 2 * n * q * C2 + n2 * d * R, 2 * L * q2),
-        Fraction(
-            6 * q2 * q * E - 6 * n * q2 * DH + 3 * n2 * q * C2 - d * n2 * n * R,
-            6 * L * q2 * q,
-        ),
-    )
+    q3 = q2 * q
+    return 6 * L * q3, [
+        6 * q3 * R,
+        6 * q2 * (q * C1 - n * R),
+        6 * q2 * (q * C2 - n * d * R),
+        3 * q * (2 * q2 * DF - 2 * n * q * C1 + n2 * R),
+        3 * q * (2 * q2 * DH - 2 * n * q * C2 + n2 * d * R),
+        6 * q3 * E - 6 * n * q2 * DH + 3 * n2 * q * C2 - d * n2 * n * R,
+    ]
+
+
+def twist(ch: CharVector, beta: Rat | int, X: RuledThreefold) -> CharVector:
+    """Twisted character ch * e^(-beta H) (exponential group law in beta).
+
+    The coordinates are `_twist_scaled`'s integer numerators, each divided
+    once by its denominator M through Fraction(numerator, M), so the result
+    is exact. beta = 0 returns ch itself.
+    """
+    b = as_rat(beta)
+    if not b:
+        return ch
+    M, nums = _twist_scaled(ch, b, X)
+    return CharVector(ch.r, *(Fraction(x, M) for x in nums[1:]))
 
 
 def tensor_line(ch: CharVector, a: int, b: int, X: RuledThreefold) -> CharVector:
@@ -156,7 +168,17 @@ def beta_bar(ch: CharVector, other_root: bool = False) -> QuadRat:
 
 
 def f_ch2_twisted(ch: CharVector, b: QuadRat | Rat | int) -> QuadRat:
-    """F.ch2 of the twisted character, evaluated in the quadratic extension."""
+    """F.ch2 of the twisted character, evaluated in the quadratic extension.
+
+    dF - b cHF + (r/2) b^2 in closed form: with b = x + y sqrt(D) it is
+
+        (dF - x cHF + r (x^2 + y^2 D) / 2) + y (r x - cHF) sqrt(D),
+
+    built as one QuadRat.
+    """
     if not isinstance(b, QuadRat):
         b = QuadRat(b)
-    return QuadRat(ch.dF) - b * ch.cHF + b * b * Fraction(ch.r, 2)
+        return QuadRat(ch.dF) - b * ch.cHF + b * b * Fraction(ch.r, 2)
+    x, y, D = b.a, b.b, b.radicand
+    r, c = ch.r, ch.cHF
+    return QuadRat(ch.dF - x * c + r * (x * x + y * y * D) / 2, y * (r * x - c), D)

@@ -54,7 +54,7 @@ def format_rat(q: Rat | int) -> str:
 
 def rat_sqrt(q: Rat | int) -> Rat | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
-    q = Fraction(q)
+    q = as_rat(q)
     if q < 0:
         raise ValueError("negative radicand")
     rn = math.isqrt(q.numerator)
@@ -66,7 +66,7 @@ def rat_sqrt(q: Rat | int) -> Rat | None:
 
 def ceil_sqrt(q: Rat | int) -> int:
     """Least integer n >= 0 with n*n >= q. Exact."""
-    q = Fraction(q)
+    q = as_rat(q)
     if q <= 0:
         return 0
     n = math.isqrt(q.numerator // q.denominator)
@@ -150,9 +150,9 @@ class QuadRat:
     __slots__ = ("a", "b", "radicand")
 
     def __init__(self, a: Rat | int, b: Rat | int = 0, radicand: Rat | int = 0):
-        a = Fraction(a)
-        b = Fraction(b)
-        radicand = Fraction(radicand)
+        a = as_rat(a)
+        b = as_rat(b)
+        radicand = as_rat(radicand)
         if radicand < 0:
             raise ValueError("radicand must be nonnegative")
         if b == 0 or radicand == 0:
@@ -324,7 +324,7 @@ class RatMatrix:
     __slots__ = ("_e",)
 
     def __init__(self, entries: Iterable[Iterable[Rat | int]]):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        rows = tuple(tuple(as_rat(x) for x in row) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("matrix needs positive dimensions")
         w = len(rows[0])
@@ -383,11 +383,11 @@ class RatMatrix:
     def mul_vec(self, v: Sequence[Rat | int]) -> tuple[Rat, ...]:
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        vv = [Fraction(x) for x in v]
+        vv = [as_rat(x) for x in v]
         return tuple(sum(a * b for a, b in zip(r, vv)) for r in self._e)
 
     def scale(self, k: Rat | int) -> "RatMatrix":
-        k = Fraction(k)
+        k = as_rat(k)
         return RatMatrix([[k * x for x in r] for r in self._e])
 
     def add(self, other: "RatMatrix") -> "RatMatrix":

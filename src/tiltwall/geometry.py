@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Rat, format_rat, parse_rat, rat_fields
+from .exactnum import Rat, as_rat, format_rat, parse_rat, rat_fields
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,16 @@ class CharVector:
     def _scaled(self) -> tuple[int, list[int]]:
         """(L, [R, C1, C2, DF, DH, E]): L is the lcm of the six denominators
         and each capital is its coordinate times L, an int."""
-        t = self.as_tuple()
-        dens = [x.denominator for x in t]
-        L = math.lcm(*dens)
-        return L, [x.numerator * (L // q) for x, q in zip(t, dens)]
+        r, c1, c2, f, h, e = self.r, self.cHF, self.cHH, self.dF, self.dH, self.e
+        rq, c1q, c2q, fq, hq, eq = (
+            r.denominator, c1.denominator, c2.denominator,
+            f.denominator, h.denominator, e.denominator,
+        )
+        L = math.lcm(rq, c1q, c2q, fq, hq, eq)
+        return L, [
+            r.numerator * (L // rq), c1.numerator * (L // c1q), c2.numerator * (L // c2q),
+            f.numerator * (L // fq), h.numerator * (L // hq), e.numerator * (L // eq),
+        ]
 
     def is_lattice(self) -> bool:
         """Integrality pattern Z, Z, Z, Z/2, Z/2, Z/6."""
@@ -83,7 +89,7 @@ class CharVector:
         return CharVector(*(-a for a in self.as_tuple()))
 
     def scale(self, k: Rat | int) -> "CharVector":
-        k = Fraction(k)
+        k = as_rat(k)
         return CharVector(*(k * a for a in self.as_tuple()))
 
 
@@ -193,11 +199,22 @@ def fiber_pushforward_char(k: int, A: CharVector) -> CharVector:
 
 
 def euler_char(X: RuledThreefold, ch: CharVector) -> Rat:
-    """Euler characteristic by Riemann-Roch, expanded through the ring relations."""
+    """Euler characteristic by Riemann-Roch, expanded through the ring relations.
+
+    chi = e + c1.ch2 / 2 + (c1^2 + c2).ch1 / 12 + r (1 - g) with
+    c1.ch2 = 3 dH - (d + 2g - 2) dF and (c1^2 + c2).ch1 = 12 cHH - (18g - 18 + 8d) cHF;
+    over 12 L with ch = (R, C1, C2, DF, DH, E)/L from `CharVector._scaled` it is
+    the integer 12 E + 6 (3 DH - (d + 2g - 2) DF) + 12 C2 - (18g - 18 + 8d) C1
+    + 12 (1 - g) R, divided once.
+    """
     g, d = X.genus, X.degree
-    c1_ch2 = 3 * ch.dH - (d + 2 * g - 2) * ch.dF
-    c1sq_c2_ch1 = 12 * ch.cHH - (18 * g - 18 + 8 * d) * ch.cHF
-    return ch.e + c1_ch2 / 2 + c1sq_c2_ch1 / 12 + ch.r * (1 - g)
+    L, (R, C1, C2, DF, DH, E) = ch._scaled()
+    return Fraction(
+        12 * (E + C2 + (1 - g) * R)
+        + 6 * (3 * DH - (d + 2 * g - 2) * DF)
+        - (18 * g - 18 + 8 * d) * C1,
+        12 * L,
+    )
 
 
 def euler_char_pair(X: RuledThreefold, A: CharVector, B: CharVector) -> Rat:

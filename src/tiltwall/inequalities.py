@@ -4,13 +4,36 @@ Every inequality is exposed as LHS - RHS (or the orientation making
 "defect >= 0" mean "inequality holds"), so equality loci and margins are
 visible. None of the checkers verifies the semistability hypothesis of the
 statement it encodes; callers report verdicts as conditional.
+
+Each defect is an integer polynomial evaluated once. A twisted defect reads
+ch^beta = (R, C1, C2, DF, DH, E)/M from `chern._twist_scaled` (M > 0), with
+r = R/M, and clears alpha^2 = a/A; an untwisted one reads
+ch = (R, C1, C2, DF, DH, E)/L from `CharVector._scaled`. Multiplying each
+rational formula through by its denominator gives
+
+    disc_tilde   = (C1 C2 - R DH) / M^2
+    bg_main      = ((2A DF - a R)(3 DH - d DF) - (6A E - 3a C2 + 2a d C1) C1) / (6 A M^2)
+    bg_nu_zero   = (3a C2 - 2a d C1 - 6A E) / (6 A M)
+    bg_weak      = (2 (2A DF - a R) DH - (4A E - 2a C2 + a d C1) C1) / (4 A M^2)
+    liu (a,b,c,d)= ((a R - 2A DF)/(2A M), (2a C2 - a d C1 - 4A E)/(4A M), C1/M, DH/M)
+    bg_star      = ((a vd^2 + A vn^2)(3 C2 - 2d C1) - 6 A vd^2 E) / (6 A vd^2 M)
+                   twisted at beta + nu, nu = vn/vd in lowest terms
+    disc_bar     = (C1^2 - 2 R DF) / L^2
+    nabla        = (d R DF - 2d C1^2 + 3 C1 C2 - 3 R DH) / (3 L^2)
+    chi1, chi2   = (6E +- 3DH - 3(2g - 2 + d) DF -+ (3g - 3 + d or 2d) C1) / (6L)
+
+The numerators are exact Python ints and each returned value is one
+Fraction(numerator, denominator), so it equals the rational evaluation
+exactly. `corollary_defect` and `chi_bounds_via_rr` keep their own routes
+(through `disc_tilde`/`disc_bar` and through Riemann-Roch pairings), so
+they stay independent checks of `nabla` and `prop42_chi_bounds`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .chern import TiltPoint, twist
+from .chern import TiltPoint, _twist_scaled
 from .exactnum import Rat
 from .geometry import (
     CharVector,
@@ -19,39 +42,38 @@ from .geometry import (
     fiber_pushforward_char,
     line_bundle_char,
 )
-from .stability import nu
+from .stability import _nu_parts
 
 
 def disc_classical(ch: CharVector, X: RuledThreefold) -> tuple[Rat, Rat]:
     """Classical discriminant ch1^2 - 2 ch0 ch2 paired with F and with H."""
     d = X.degree
-    p = ch.cHF
-    q = ch.cHH - p * d
-    f_delta = p * p - 2 * ch.r * ch.dF
-    h_delta = p * p * d + 2 * p * q - 2 * ch.r * ch.dH
-    return f_delta, h_delta
+    L, (R, P, C2, DF, DH, _) = ch._scaled()
+    Q = C2 - P * d
+    L2 = L * L
+    return (
+        Fraction(P * P - 2 * R * DF, L2),
+        Fraction(P * P * d + 2 * P * Q - 2 * R * DH, L2),
+    )
 
 
 def disc_bar(ch: CharVector) -> Rat:
     """First generalized discriminant cHF^2 - 2 r dF; twist-invariant, integral on the lattice."""
-    return ch.cHF * ch.cHF - 2 * ch.r * ch.dF
+    L, (R, C1, _, DF, _, _) = ch._scaled()
+    return Fraction(C1 * C1 - 2 * R * DF, L * L)
 
 
 def disc_tilde(ch: CharVector, beta: Rat | int, X: RuledThreefold) -> Rat:
     """Second generalized discriminant at the twisted degrees; invariant under O(mF)."""
-    tw = twist(ch, beta, X)
-    return tw.cHF * tw.cHH - ch.r * tw.dH
+    M, (R, C1, C2, _, DH, _) = _twist_scaled(ch, beta, X)
+    return Fraction(C1 * C2 - R * DH, M * M)
 
 
 def nabla(ch: CharVector, X: RuledThreefold) -> Rat:
     """Defect of the strongest slope-stability inequality; vanishes on line bundles."""
     d = X.degree
-    return (
-        Fraction(d, 3) * ch.r * ch.dF
-        - Fraction(2 * d, 3) * ch.cHF * ch.cHF
-        + ch.cHH * ch.cHF
-        - ch.r * ch.dH
-    )
+    L, (R, C1, C2, DF, DH, _) = ch._scaled()
+    return Fraction(d * (R * DF - 2 * C1 * C1) + 3 * (C1 * C2 - R * DH), 3 * L * L)
 
 
 def corollary_defect(ch: CharVector, X: RuledThreefold) -> Rat:
@@ -66,18 +88,18 @@ def corollary_defect(ch: CharVector, X: RuledThreefold) -> Rat:
 
 def bg_main_defect(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> Rat:
     """Defect of the main third-Chern-character inequality at (alpha^2, beta)."""
-    a2, d = pt.alpha2, X.degree
-    tw = twist(ch, pt.beta, X)
-    lhs = (tw.dF - a2 / 2 * ch.r) * (tw.dH - Fraction(d, 3) * tw.dF)
-    rhs = (tw.e - a2 / 2 * tw.cHH + a2 * d / 3 * tw.cHF) * tw.cHF
-    return lhs - rhs
+    a, A, d = pt.alpha2.numerator, pt.alpha2.denominator, X.degree
+    M, (R, C1, C2, DF, DH, E) = _twist_scaled(ch, pt.beta, X)
+    lhs = (2 * A * DF - a * R) * (3 * DH - d * DF)
+    rhs = (6 * A * E - 3 * a * C2 + 2 * a * d * C1) * C1
+    return Fraction(lhs - rhs, 6 * A * M * M)
 
 
 def bg_nu_zero_defect(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> Rat:
     """Defect of the slope-zero form: bounds ch3 by the alpha^2-weighted degrees."""
-    a2, d = pt.alpha2, X.degree
-    tw = twist(ch, pt.beta, X)
-    return a2 / 2 * tw.cHH - a2 * d / 3 * tw.cHF - tw.e
+    a, A, d = pt.alpha2.numerator, pt.alpha2.denominator, X.degree
+    M, (_, C1, C2, _, _, E) = _twist_scaled(ch, pt.beta, X)
+    return Fraction(3 * a * C2 - 2 * a * d * C1 - 6 * A * E, 6 * A * M)
 
 
 def bg_star_defect(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> Rat:
@@ -85,40 +107,42 @@ def bg_star_defect(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> Rat:
 
     Equals bg_main_defect / cHF^beta identically; requires finite tilt slope.
     """
-    v = nu(ch, pt)
-    if v.is_infinite:
+    parts = _nu_parts(ch, pt)
+    if parts is None:
         raise ValueError("slope-recentered defect needs a finite tilt slope")
-    a2, d = pt.alpha2, X.degree
-    tw = twist(ch, pt.beta + v.value, X)
-    rhs = (a2 + v.value * v.value) * (tw.cHH / 2 - Fraction(d, 3) * tw.cHF)
-    return rhs - tw.e
+    v = Fraction(*parts)
+    a, A, d = pt.alpha2.numerator, pt.alpha2.denominator, X.degree
+    M, (_, C1, C2, _, _, E) = _twist_scaled(ch, pt.beta + v, X)
+    vn, vd = v.numerator, v.denominator
+    vd2 = vd * vd
+    return Fraction(
+        (a * vd2 + A * vn * vn) * (3 * C2 - 2 * d * C1) - 6 * A * vd2 * E, 6 * A * vd2 * M
+    )
 
 
 def bg_weak_defect(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> Rat:
     """Defect of the weak form (coefficient d/4 instead of d/3)."""
-    a2, d = pt.alpha2, X.degree
-    tw = twist(ch, pt.beta, X)
-    lhs = (tw.dF - a2 / 2 * ch.r) * tw.dH
-    rhs = (tw.e - a2 / 2 * tw.cHH + a2 * d / 4 * tw.cHF) * tw.cHF
-    return lhs - rhs
+    a, A, d = pt.alpha2.numerator, pt.alpha2.denominator, X.degree
+    M, (R, C1, C2, DF, DH, E) = _twist_scaled(ch, pt.beta, X)
+    lhs = 2 * (2 * A * DF - a * R) * DH
+    rhs = (4 * A * E - 2 * a * C2 + a * d * C1) * C1
+    return Fraction(lhs - rhs, 4 * A * M * M)
 
 
 def liu_abcd(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> tuple[Rat, Rat, Rat, Rat]:
     """The four linear functionals with b*c - a*d = bg_weak_defect and
     mixed slope (d - t*a)/c."""
-    a2, deg = pt.alpha2, X.degree
-    tw = twist(ch, pt.beta, X)
-    a = -tw.dF + a2 / 2 * ch.r
-    b = -tw.e + a2 / 2 * tw.cHH - a2 * deg / 4 * tw.cHF
-    c = tw.cHF
-    d = tw.dH
-    return a, b, c, d
+    an, A, deg = pt.alpha2.numerator, pt.alpha2.denominator, X.degree
+    M, (R, C1, C2, DF, DH, E) = _twist_scaled(ch, pt.beta, X)
+    a = Fraction(an * R - 2 * A * DF, 2 * A * M)
+    b = Fraction(2 * an * C2 - an * deg * C1 - 4 * A * E, 4 * A * M)
+    return a, b, Fraction(C1, M), Fraction(DH, M)
 
 
 def fiber_bogomolov_defect(k: int, A: CharVector, X: RuledThreefold) -> Rat:
     """Discriminant of the pushforward from k fibers; twist-invariant."""
-    P = fiber_pushforward_char(k, A)
-    return P.dH * P.dH - 2 * P.cHH * P.e
+    L, (_, _, C2, _, DH, E) = fiber_pushforward_char(k, A)._scaled()
+    return Fraction(DH * DH - 2 * C2 * E, L * L)
 
 
 def prop42_chi_bounds(ch: CharVector, X: RuledThreefold) -> tuple[Rat, Rat]:
@@ -127,19 +151,12 @@ def prop42_chi_bounds(ch: CharVector, X: RuledThreefold) -> tuple[Rat, Rat]:
     Closed forms; must agree with euler_char_pair on every character.
     """
     g, d = X.genus, X.degree
-    chi1 = (
-        ch.e
-        + ch.dH / 2
-        - (g - 1 + Fraction(d, 2)) * ch.dF
-        - Fraction(3 * g - 3 + d, 6) * ch.cHF
+    L, (_, C1, _, DF, DH, E) = ch._scaled()
+    common = 6 * E - 3 * (2 * g - 2 + d) * DF
+    return (
+        Fraction(common + 3 * DH - (3 * g - 3 + d) * C1, 6 * L),
+        Fraction(common - 3 * DH + (3 * g - 3 + 2 * d) * C1, 6 * L),
     )
-    chi2 = (
-        ch.e
-        - ch.dH / 2
-        - (g - 1 + Fraction(d, 2)) * ch.dF
-        + Fraction(3 * g - 3 + 2 * d, 6) * ch.cHF
-    )
-    return chi1, chi2
 
 
 def chi_bounds_via_rr(ch: CharVector, X: RuledThreefold) -> tuple[Rat, Rat]:

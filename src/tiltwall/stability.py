@@ -3,6 +3,23 @@
 All slopes return ExtRat; +inf encodes a vanishing denominator. The heart
 sign report is a necessary-condition filter only: a class failing it cannot
 underlie an object of the tilted heart, passing certifies nothing.
+
+Every function of a twisted character works on `chern._twist_scaled`'s
+integer numerators: ch^beta = (R, C1, C2, DF, DH, E)/M with M > 0. The
+parameters are cleared to ints as well, alpha^2 = a/A, s = sn/sd and
+t = tn/td, all denominators positive. Then
+
+    nu      = (2 A DF - a R) / (2 A C1)
+    nu_mix  = (2 A td DH + 2 A tn DF - a tn R) / (2 A td C1)
+    Re Z    = (td (4 A sn - a d sd) C1 + 2 a sd td C2 - 4 A sd td E) / N
+    Im Z    = (4 A sd td DH + 4 A sd tn DF - 2 a sd tn R) / N,  N = 4 A sd td M
+    nu_sigma = -Re Z / Im Z, the two numerators' quotient
+
+(`nu` twists only the three coordinates it reads, with beta = n/q written
+out, see `_nu_parts`). The heart cascade needs signs only, and M > 0, so
+it compares the numerators with 0 and builds no Fraction at all. Each
+returned rational is one Fraction(numerator, denominator) of exact Python
+ints, so every value equals the rational evaluation exactly.
 """
 
 from __future__ import annotations
@@ -10,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern import TiltPoint, twist
-from .exactnum import INFINITY, ExtRat, Rat, rat_fields
+from .chern import TiltPoint, _twist_scaled
+from .exactnum import INFINITY, ExtRat, Rat, as_rat, rat_fields
 from .geometry import CharVector, RuledThreefold
 
 
@@ -67,25 +84,45 @@ def mu_C(ch: CharVector) -> ExtRat:
     return INFINITY
 
 
+def _nu_parts(ch: CharVector, pt: TiltPoint) -> tuple[int, int] | None:
+    """The tilt slope as (numerator, denominator) ints, None when c_beta = 0.
+
+    With beta = n/q, alpha^2 = a/A and (r, cHF, dF) = (R, C1, DF)/L, L the
+    product of the three denominators:
+    c_beta = (q C1 - n R) / (L q), dF_beta = (2 q^2 DF - 2 n q C1 + n^2 R) / (2 L q^2),
+    so nu = (A (2 q^2 DF - 2 n q C1 + n^2 R) - a q^2 R) / (2 A q (q C1 - n R)).
+    """
+    r, c, f = ch.r, ch.cHF, ch.dF
+    rd, cd, fd = r.denominator, c.denominator, f.denominator
+    R, C1, DF = r.numerator * cd * fd, c.numerator * rd * fd, f.numerator * rd * cd
+    n, q = pt.beta.numerator, pt.beta.denominator
+    cb = q * C1 - n * R
+    if not cb:
+        return None
+    a, A = pt.alpha2.numerator, pt.alpha2.denominator
+    q2 = q * q
+    return A * (2 * q2 * DF - 2 * n * q * C1 + n * n * R) - a * q2 * R, 2 * A * q * cb
+
+
 def nu(ch: CharVector, pt: TiltPoint) -> ExtRat:
     """Tilt slope at (alpha^2, beta); depends only on (r, cHF, dF)."""
-    b = pt.beta
-    c_b = ch.cHF - b * ch.r
-    if c_b == 0:
+    parts = _nu_parts(ch, pt)
+    if parts is None:
         return INFINITY
-    dF_b = ch.dF - b * ch.cHF + b * b / 2 * ch.r
-    return ExtRat((dF_b - pt.alpha2 / 2 * ch.r) / c_b)
+    return ExtRat(Fraction(*parts))
 
 
 def nu_mixed(ch: CharVector, pt: TiltPoint, t: Rat | int, X: RuledThreefold) -> ExtRat:
     """Mixed tilt slope weighting H.ch2 and F.ch2 by 1 and t."""
-    t = Fraction(t)
+    t = as_rat(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    tw = twist(ch, pt.beta, X)
-    if tw.cHF == 0:
+    _, (R, C1, _, DF, DH, _) = _twist_scaled(ch, pt.beta, X)
+    if not C1:
         return INFINITY
-    return ExtRat((tw.dH + t * tw.dF - t * pt.alpha2 / 2 * ch.r) / tw.cHF)
+    a, A = pt.alpha2.numerator, pt.alpha2.denominator
+    tn, td = t.numerator, t.denominator
+    return ExtRat(Fraction(2 * A * (td * DH + tn * DF) - a * tn * R, 2 * A * td * C1))
 
 
 @dataclass(frozen=True)
@@ -115,29 +152,37 @@ class HeartReport:
 
 
 def heart_sign_constraints(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> HeartReport:
-    tw = twist(ch, pt.beta, X)
-    hf1 = tw.cHF >= 0
-    b2 = tw.cHF == 0
+    _, (R, C1, _, DF, DH, E) = _twist_scaled(ch, pt.beta, X)
+    hf1 = C1 >= 0
+    b2 = C1 == 0
     h2 = f2 = r0 = True
     b3 = False
     c3 = True
     if b2:
-        h2 = tw.dH >= 0
-        f2 = tw.dF >= 0
-        r0 = ch.r <= 0
-        b3 = ch.r == 0 and tw.dH == 0
+        h2 = DH >= 0
+        f2 = DF >= 0
+        r0 = R <= 0
+        b3 = R == 0 and DH == 0
         if b3:
-            c3 = tw.e >= 0
+            c3 = E >= 0
     return HeartReport(hf1, b2, h2, f2, r0, b3, c3)
+
+
+def _charge_parts(ch: CharVector, p: ChargeParams, X: RuledThreefold) -> tuple[int, int, int]:
+    """(Re, Im, N): the central charge as two int numerators over N > 0."""
+    M, (R, C1, C2, DF, DH, E) = _twist_scaled(ch, p.beta, X)
+    a, A = p.alpha2.numerator, p.alpha2.denominator
+    sn, sd = p.s.numerator, p.s.denominator
+    tn, td = p.t.numerator, p.t.denominator
+    re = td * ((4 * A * sn - a * X.degree * sd) * C1 + 2 * sd * (a * C2 - 2 * A * E))
+    im = 2 * sd * (2 * A * (td * DH + tn * DF) - a * tn * R)
+    return re, im, 4 * A * sd * td * M
 
 
 def central_charge(ch: CharVector, p: ChargeParams, X: RuledThreefold) -> ChargeValue:
     """The rank-6 central charge; skyscrapers map to -1."""
-    a2, t, s, d = p.alpha2, p.t, p.s, X.degree
-    tw = twist(ch, p.beta, X)
-    re = (s - a2 * d / 4) * tw.cHF - tw.e + a2 / 2 * tw.cHH
-    im = tw.dH + t * tw.dF - t * a2 / 2 * ch.r
-    return ChargeValue(re, im)
+    re, im, N = _charge_parts(ch, p, X)
+    return ChargeValue(Fraction(re, N), Fraction(im, N))
 
 
 def in_positive_cone(z: ChargeValue) -> bool:
@@ -147,7 +192,7 @@ def in_positive_cone(z: ChargeValue) -> bool:
 
 def nu_sigma(ch: CharVector, p: ChargeParams, X: RuledThreefold) -> ExtRat:
     """Charge slope -Re/Im, +inf on the real axis."""
-    z = central_charge(ch, p, X)
-    if z.im == 0:
+    re, im, _ = _charge_parts(ch, p, X)
+    if not im:
         return INFINITY
-    return ExtRat(-z.re / z.im)
+    return ExtRat(Fraction(-re, im))

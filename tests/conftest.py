@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from tiltwall import CharVector, ReducedClass, RuledThreefold, TiltPoint
+from tiltwall import ChargeParams, CharVector, ReducedClass, RuledThreefold, TiltPoint
 from tiltwall.selftest import (  # re-exported to the test modules
     rand_lattice_char,
     rand_point,
@@ -66,3 +66,13 @@ wide_betas = st.one_of(
 
 # Degrees on both sides of zero.
 wide_threefolds = st.builds(RuledThreefold, st.integers(0, 5), st.integers(-20, 20))
+
+# Positive parameters (alpha^2, s, t) with large denominators, for the
+# integer slope, charge and defect kernels against their rational formulas.
+wide_pos_rats = st.fractions(min_value=0, max_value=1000, max_denominator=10**6).filter(
+    lambda q: q > 0
+)
+
+wide_tilt_points = st.builds(TiltPoint, wide_pos_rats, wide_betas)
+
+wide_charges = st.builds(ChargeParams, wide_pos_rats, wide_betas, wide_pos_rats, wide_pos_rats)

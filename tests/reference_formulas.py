@@ -1,0 +1,220 @@
+"""The rational (Fraction) formulas of the slope, charge and defect functions,
+kept verbatim as the reference for the library's integer kernels.
+
+Each body below is the library's formula written directly in Fraction
+arithmetic. `twist` here is `reference_twist`, the rational twist formulas,
+so no reference calls an integer kernel of the library.
+"""
+
+from fractions import Fraction
+
+from tiltwall import (
+    INFINITY,
+    CharVector,
+    ChargeParams,
+    ChargeValue,
+    ExtRat,
+    HeartReport,
+    QuadRat,
+    RuledThreefold,
+    TiltPoint,
+    fiber_pushforward_char,
+)
+from tiltwall.exactnum import Rat
+
+
+def reference_twist(ch, beta, X):
+    """The rational formulas of the twist, the reference for the integer kernel."""
+    b = Fraction(beta)
+    d = X.degree
+    return CharVector(
+        ch.r,
+        ch.cHF - b * ch.r,
+        ch.cHH - b * d * ch.r,
+        ch.dF - b * ch.cHF + b * b / 2 * ch.r,
+        ch.dH - b * ch.cHH + b * b / 2 * d * ch.r,
+        ch.e - b * ch.dH + b * b / 2 * ch.cHH - b**3 / 6 * d * ch.r,
+    )
+
+
+twist = reference_twist
+
+
+def nu(ch: CharVector, pt: TiltPoint) -> ExtRat:
+    """Tilt slope at (alpha^2, beta); depends only on (r, cHF, dF)."""
+    b = pt.beta
+    c_b = ch.cHF - b * ch.r
+    if c_b == 0:
+        return INFINITY
+    dF_b = ch.dF - b * ch.cHF + b * b / 2 * ch.r
+    return ExtRat((dF_b - pt.alpha2 / 2 * ch.r) / c_b)
+
+
+def nu_mixed(ch: CharVector, pt: TiltPoint, t: Rat | int, X: RuledThreefold) -> ExtRat:
+    """Mixed tilt slope weighting H.ch2 and F.ch2 by 1 and t."""
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    tw = twist(ch, pt.beta, X)
+    if tw.cHF == 0:
+        return INFINITY
+    return ExtRat((tw.dH + t * tw.dF - t * pt.alpha2 / 2 * ch.r) / tw.cHF)
+
+
+def heart_sign_constraints(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> HeartReport:
+    tw = twist(ch, pt.beta, X)
+    hf1 = tw.cHF >= 0
+    b2 = tw.cHF == 0
+    h2 = f2 = r0 = True
+    b3 = False
+    c3 = True
+    if b2:
+        h2 = tw.dH >= 0
+        f2 = tw.dF >= 0
+        r0 = ch.r <= 0
+        b3 = ch.r == 0 and tw.dH == 0
+        if b3:
+            c3 = tw.e >= 0
+    return HeartReport(hf1, b2, h2, f2, r0, b3, c3)
+
+
+def central_charge(ch: CharVector, p: ChargeParams, X: RuledThreefold) -> ChargeValue:
+    """The rank-6 central charge; skyscrapers map to -1."""
+    a2, t, s, d = p.alpha2, p.t, p.s, X.degree
+    tw = twist(ch, p.beta, X)
+    re = (s - a2 * d / 4) * tw.cHF - tw.e + a2 / 2 * tw.cHH
+    im = tw.dH + t * tw.dF - t * a2 / 2 * ch.r
+    return ChargeValue(re, im)
+
+
+def nu_sigma(ch: CharVector, p: ChargeParams, X: RuledThreefold) -> ExtRat:
+    """Charge slope -Re/Im, +inf on the real axis."""
+    z = central_charge(ch, p, X)
+    if z.im == 0:
+        return INFINITY
+    return ExtRat(-z.re / z.im)
+
+
+def disc_classical(ch: CharVector, X: RuledThreefold) -> tuple[Rat, Rat]:
+    """Classical discriminant ch1^2 - 2 ch0 ch2 paired with F and with H."""
+    d = X.degree
+    p = ch.cHF
+    q = ch.cHH - p * d
+    f_delta = p * p - 2 * ch.r * ch.dF
+    h_delta = p * p * d + 2 * p * q - 2 * ch.r * ch.dH
+    return f_delta, h_delta
+
+
+def disc_bar(ch: CharVector) -> Rat:
+    """First generalized discriminant cHF^2 - 2 r dF; twist-invariant, integral on the lattice."""
+    return ch.cHF * ch.cHF - 2 * ch.r * ch.dF
+
+
+def disc_tilde(ch: CharVector, beta: Rat | int, X: RuledThreefold) -> Rat:
+    """Second generalized discriminant at the twisted degrees; invariant under O(mF)."""
+    tw = twist(ch, beta, X)
+    return tw.cHF * tw.cHH - ch.r * tw.dH
+
+
+def nabla(ch: CharVector, X: RuledThreefold) -> Rat:
+    """Defect of the strongest slope-stability inequality; vanishes on line bundles."""
+    d = X.degree
+    return (
+        Fraction(d, 3) * ch.r * ch.dF
+        - Fraction(2 * d, 3) * ch.cHF * ch.cHF
+        + ch.cHH * ch.cHF
+        - ch.r * ch.dH
+    )
+
+
+def bg_main_defect(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> Rat:
+    """Defect of the main third-Chern-character inequality at (alpha^2, beta)."""
+    a2, d = pt.alpha2, X.degree
+    tw = twist(ch, pt.beta, X)
+    lhs = (tw.dF - a2 / 2 * ch.r) * (tw.dH - Fraction(d, 3) * tw.dF)
+    rhs = (tw.e - a2 / 2 * tw.cHH + a2 * d / 3 * tw.cHF) * tw.cHF
+    return lhs - rhs
+
+
+def bg_nu_zero_defect(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> Rat:
+    """Defect of the slope-zero form: bounds ch3 by the alpha^2-weighted degrees."""
+    a2, d = pt.alpha2, X.degree
+    tw = twist(ch, pt.beta, X)
+    return a2 / 2 * tw.cHH - a2 * d / 3 * tw.cHF - tw.e
+
+
+def bg_star_defect(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> Rat:
+    """Defect of the slope-recentered form, evaluated at beta + nu.
+
+    Equals bg_main_defect / cHF^beta identically; requires finite tilt slope.
+    """
+    v = nu(ch, pt)
+    if v.is_infinite:
+        raise ValueError("slope-recentered defect needs a finite tilt slope")
+    a2, d = pt.alpha2, X.degree
+    tw = twist(ch, pt.beta + v.value, X)
+    rhs = (a2 + v.value * v.value) * (tw.cHH / 2 - Fraction(d, 3) * tw.cHF)
+    return rhs - tw.e
+
+
+def bg_weak_defect(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> Rat:
+    """Defect of the weak form (coefficient d/4 instead of d/3)."""
+    a2, d = pt.alpha2, X.degree
+    tw = twist(ch, pt.beta, X)
+    lhs = (tw.dF - a2 / 2 * ch.r) * tw.dH
+    rhs = (tw.e - a2 / 2 * tw.cHH + a2 * d / 4 * tw.cHF) * tw.cHF
+    return lhs - rhs
+
+
+def liu_abcd(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> tuple[Rat, Rat, Rat, Rat]:
+    """The four linear functionals with b*c - a*d = bg_weak_defect and
+    mixed slope (d - t*a)/c."""
+    a2, deg = pt.alpha2, X.degree
+    tw = twist(ch, pt.beta, X)
+    a = -tw.dF + a2 / 2 * ch.r
+    b = -tw.e + a2 / 2 * tw.cHH - a2 * deg / 4 * tw.cHF
+    c = tw.cHF
+    d = tw.dH
+    return a, b, c, d
+
+
+def fiber_bogomolov_defect(k: int, A: CharVector, X: RuledThreefold) -> Rat:
+    """Discriminant of the pushforward from k fibers; twist-invariant."""
+    P = fiber_pushforward_char(k, A)
+    return P.dH * P.dH - 2 * P.cHH * P.e
+
+
+def prop42_chi_bounds(ch: CharVector, X: RuledThreefold) -> tuple[Rat, Rat]:
+    """The two Euler-characteristic functionals against O(H) and O(2H).
+
+    Closed forms; must agree with euler_char_pair on every character.
+    """
+    g, d = X.genus, X.degree
+    chi1 = (
+        ch.e
+        + ch.dH / 2
+        - (g - 1 + Fraction(d, 2)) * ch.dF
+        - Fraction(3 * g - 3 + d, 6) * ch.cHF
+    )
+    chi2 = (
+        ch.e
+        - ch.dH / 2
+        - (g - 1 + Fraction(d, 2)) * ch.dF
+        + Fraction(3 * g - 3 + 2 * d, 6) * ch.cHF
+    )
+    return chi1, chi2
+
+
+def euler_char(X: RuledThreefold, ch: CharVector) -> Rat:
+    """Euler characteristic by Riemann-Roch, expanded through the ring relations."""
+    g, d = X.genus, X.degree
+    c1_ch2 = 3 * ch.dH - (d + 2 * g - 2) * ch.dF
+    c1sq_c2_ch1 = 12 * ch.cHH - (18 * g - 18 + 8 * d) * ch.cHF
+    return ch.e + c1_ch2 / 2 + c1sq_c2_ch1 / 12 + ch.r * (1 - g)
+
+
+def f_ch2_twisted(ch: CharVector, b: QuadRat | Rat | int) -> QuadRat:
+    """F.ch2 of the twisted character, evaluated in the quadratic extension."""
+    if not isinstance(b, QuadRat):
+        b = QuadRat(b)
+    return QuadRat(ch.dF) - b * ch.cHF + b * b * Fraction(ch.r, 2)

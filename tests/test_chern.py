@@ -28,20 +28,7 @@ from conftest import (
     wide_chars,
     wide_threefolds,
 )
-
-
-def reference_twist(ch, beta, X):
-    """The rational formulas of the twist, the reference for the integer kernel."""
-    b = Fraction(beta)
-    d = X.degree
-    return CharVector(
-        ch.r,
-        ch.cHF - b * ch.r,
-        ch.cHH - b * d * ch.r,
-        ch.dF - b * ch.cHF + b * b / 2 * ch.r,
-        ch.dH - b * ch.cHH + b * b / 2 * d * ch.r,
-        ch.e - b * ch.dH + b * b / 2 * ch.cHH - b**3 / 6 * d * ch.r,
-    )
+from reference_formulas import reference_twist
 
 
 class TestTwist:

@@ -61,8 +61,21 @@ class TestSqrtHelpers:
         assert n * n >= q
         assert n == 0 or Fraction((n - 1) ** 2) < q
 
+    def test_rat_sqrt_rejects_float(self):
+        with pytest.raises(TypeError, match="float"):
+            rat_sqrt(0.25)
+
+    def test_ceil_sqrt_rejects_float(self):
+        with pytest.raises(TypeError, match="float"):
+            ceil_sqrt(2.5)
+
 
 class TestQuadRat:
+    def test_float_rejected(self):
+        for args in [(0.1,), (0, 0.5, 2), (0, 1, 2.0)]:
+            with pytest.raises(TypeError, match="float"):
+                QuadRat(*args)
+
     def test_perfect_square_normalizes(self):
         x = QuadRat(1, 1, Fraction(9, 4))
         assert x.is_rational and x.to_rat() == Fraction(5, 2)
@@ -189,6 +202,15 @@ def _det_by_permutations(m: RatMatrix) -> Fraction:
 
 
 class TestRatMatrix:
+    def test_float_rejected(self):
+        with pytest.raises(TypeError, match="float"):
+            RatMatrix([[0.5]])
+        m = RatMatrix([[1, 0], [0, 1]])
+        with pytest.raises(TypeError, match="float"):
+            m.scale(0.5)
+        with pytest.raises(TypeError, match="float"):
+            m.mul_vec([1, 0.5])
+
     def test_kernel_invertible_empty(self):
         assert RatMatrix.identity(2).kernel_basis() == []
 

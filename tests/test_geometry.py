@@ -316,6 +316,11 @@ class TestCoercion:
             with pytest.raises(TypeError):
                 CharVector(*entries)
 
+    def test_scale_rejects_float(self):
+        assert CHAR_O.scale(Fraction(1, 2)).r == Fraction(1, 2)
+        with pytest.raises(TypeError, match="float"):
+            CHAR_O.scale(0.1)
+
 
 class TestSerialization:
     def test_round_trip(self, rng):

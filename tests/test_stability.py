@@ -115,6 +115,11 @@ class TestNuMixed:
         with pytest.raises(ValueError):
             nu_mixed(CHAR_O, TiltPoint(1, 0), 0, X)
 
+    def test_rejects_float_t(self):
+        X = RuledThreefold(0, 1)
+        with pytest.raises(TypeError, match="float"):
+            nu_mixed(CHAR_O, TiltPoint(1, 0), 0.5, X)
+
 
 class TestHeart:
     def test_structure_sheaf_fails(self):

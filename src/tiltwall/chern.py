@@ -83,9 +83,10 @@ def validate_lattice_reduced(u: ReducedClass) -> ReducedClass:
     return u
 
 
-def _twist_scaled(ch: CharVector, beta: Rat | int, X: RuledThreefold) -> tuple[int, list[int]]:
-    """(M, [R, C1, C2, DF, DH, E]): the twist ch * e^(-beta H) as six exact
-    integer numerators over one positive denominator M.
+def _twist_scaled(ch: CharVector, beta: Rat | int, d: int) -> tuple[int, list[int]]:
+    """(M, [R, C1, C2, DF, DH, E]): the twist ch * e^(-beta H) on a threefold
+    of degree d = H^3 as six exact integer numerators over one positive
+    denominator M.
 
     With beta = n/q in lowest terms and ch = (R0, C10, C20, DF0, DH0, E0)/L
     from `CharVector._scaled`, M = 6 L q^3 and
@@ -101,12 +102,13 @@ def _twist_scaled(ch: CharVector, beta: Rat | int, X: RuledThreefold) -> tuple[i
     their lower-degree analogues) multiplied through by M. At beta = 0 it
     returns `ch._scaled()`, so M = L there. Every slope, charge and defect of
     a twisted character is an integer polynomial in this output, divided once.
+    M, R, C1 and DF do not involve d, so a caller reading only those (the
+    tilt slope) may pass any degree.
     """
     b = as_rat(beta)
     if not b:
         return ch._scaled()
     n, q = b.numerator, b.denominator
-    d = X.degree
     L, (R, C1, C2, DF, DH, E) = ch._scaled()
     n2, q2 = n * n, q * q
     q3 = q2 * q
@@ -130,7 +132,7 @@ def twist(ch: CharVector, beta: Rat | int, X: RuledThreefold) -> CharVector:
     b = as_rat(beta)
     if not b:
         return ch
-    M, nums = _twist_scaled(ch, b, X)
+    M, nums = _twist_scaled(ch, b, X.degree)
     return CharVector(ch.r, *(Fraction(x, M) for x in nums[1:]))
 
 
@@ -174,11 +176,10 @@ def f_ch2_twisted(ch: CharVector, b: QuadRat | Rat | int) -> QuadRat:
 
         (dF - x cHF + r (x^2 + y^2 D) / 2) + y (r x - cHF) sqrt(D),
 
-    built as one QuadRat.
+    built as one QuadRat. A rational b is read as QuadRat(b), with y = D = 0.
     """
     if not isinstance(b, QuadRat):
         b = QuadRat(b)
-        return QuadRat(ch.dF) - b * ch.cHF + b * b * Fraction(ch.r, 2)
     x, y, D = b.a, b.b, b.radicand
     r, c = ch.r, ch.cHF
     return QuadRat(ch.dF - x * c + r * (x * x + y * y * D) / 2, y * (r * x - c), D)

@@ -65,7 +65,7 @@ def disc_bar(ch: CharVector) -> Rat:
 
 def disc_tilde(ch: CharVector, beta: Rat | int, X: RuledThreefold) -> Rat:
     """Second generalized discriminant at the twisted degrees; invariant under O(mF)."""
-    M, (R, C1, C2, _, DH, _) = _twist_scaled(ch, beta, X)
+    M, (R, C1, C2, _, DH, _) = _twist_scaled(ch, beta, X.degree)
     return Fraction(C1 * C2 - R * DH, M * M)
 
 
@@ -89,7 +89,7 @@ def corollary_defect(ch: CharVector, X: RuledThreefold) -> Rat:
 def bg_main_defect(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> Rat:
     """Defect of the main third-Chern-character inequality at (alpha^2, beta)."""
     a, A, d = pt.alpha2.numerator, pt.alpha2.denominator, X.degree
-    M, (R, C1, C2, DF, DH, E) = _twist_scaled(ch, pt.beta, X)
+    M, (R, C1, C2, DF, DH, E) = _twist_scaled(ch, pt.beta, X.degree)
     lhs = (2 * A * DF - a * R) * (3 * DH - d * DF)
     rhs = (6 * A * E - 3 * a * C2 + 2 * a * d * C1) * C1
     return Fraction(lhs - rhs, 6 * A * M * M)
@@ -98,7 +98,7 @@ def bg_main_defect(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> Rat:
 def bg_nu_zero_defect(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> Rat:
     """Defect of the slope-zero form: bounds ch3 by the alpha^2-weighted degrees."""
     a, A, d = pt.alpha2.numerator, pt.alpha2.denominator, X.degree
-    M, (_, C1, C2, _, _, E) = _twist_scaled(ch, pt.beta, X)
+    M, (_, C1, C2, _, _, E) = _twist_scaled(ch, pt.beta, X.degree)
     return Fraction(3 * a * C2 - 2 * a * d * C1 - 6 * A * E, 6 * A * M)
 
 
@@ -112,7 +112,7 @@ def bg_star_defect(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> Rat:
         raise ValueError("slope-recentered defect needs a finite tilt slope")
     v = Fraction(*parts)
     a, A, d = pt.alpha2.numerator, pt.alpha2.denominator, X.degree
-    M, (_, C1, C2, _, _, E) = _twist_scaled(ch, pt.beta + v, X)
+    M, (_, C1, C2, _, _, E) = _twist_scaled(ch, pt.beta + v, X.degree)
     vn, vd = v.numerator, v.denominator
     vd2 = vd * vd
     return Fraction(
@@ -123,7 +123,7 @@ def bg_star_defect(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> Rat:
 def bg_weak_defect(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> Rat:
     """Defect of the weak form (coefficient d/4 instead of d/3)."""
     a, A, d = pt.alpha2.numerator, pt.alpha2.denominator, X.degree
-    M, (R, C1, C2, DF, DH, E) = _twist_scaled(ch, pt.beta, X)
+    M, (R, C1, C2, DF, DH, E) = _twist_scaled(ch, pt.beta, X.degree)
     lhs = 2 * (2 * A * DF - a * R) * DH
     rhs = (4 * A * E - 2 * a * C2 + a * d * C1) * C1
     return Fraction(lhs - rhs, 4 * A * M * M)
@@ -133,7 +133,7 @@ def liu_abcd(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> tuple[Rat, Rat
     """The four linear functionals with b*c - a*d = bg_weak_defect and
     mixed slope (d - t*a)/c."""
     an, A, deg = pt.alpha2.numerator, pt.alpha2.denominator, X.degree
-    M, (R, C1, C2, DF, DH, E) = _twist_scaled(ch, pt.beta, X)
+    M, (R, C1, C2, DF, DH, E) = _twist_scaled(ch, pt.beta, X.degree)
     a = Fraction(an * R - 2 * A * DF, 2 * A * M)
     b = Fraction(2 * an * C2 - an * deg * C1 - 4 * A * E, 4 * A * M)
     return a, b, Fraction(C1, M), Fraction(DH, M)

@@ -15,8 +15,8 @@ t = tn/td, all denominators positive. Then
     Im Z    = (4 A sd td DH + 4 A sd tn DF - 2 a sd tn R) / N,  N = 4 A sd td M
     nu_sigma = -Re Z / Im Z, the two numerators' quotient
 
-(`nu` twists only the three coordinates it reads, with beta = n/q written
-out, see `_nu_parts`). The heart cascade needs signs only, and M > 0, so
+(`nu` reads only R, C1 and DF, which do not involve the degree, so it needs
+no threefold). The heart cascade needs signs only, and M > 0, so
 it compares the numerators with 0 and builds no Fraction at all. Each
 returned rational is one Fraction(numerator, denominator) of exact Python
 ints, so every value equals the rational evaluation exactly.
@@ -85,23 +85,13 @@ def mu_C(ch: CharVector) -> ExtRat:
 
 
 def _nu_parts(ch: CharVector, pt: TiltPoint) -> tuple[int, int] | None:
-    """The tilt slope as (numerator, denominator) ints, None when c_beta = 0.
-
-    With beta = n/q, alpha^2 = a/A and (r, cHF, dF) = (R, C1, DF)/L, L the
-    product of the three denominators:
-    c_beta = (q C1 - n R) / (L q), dF_beta = (2 q^2 DF - 2 n q C1 + n^2 R) / (2 L q^2),
-    so nu = (A (2 q^2 DF - 2 n q C1 + n^2 R) - a q^2 R) / (2 A q (q C1 - n R)).
-    """
-    r, c, f = ch.r, ch.cHF, ch.dF
-    rd, cd, fd = r.denominator, c.denominator, f.denominator
-    R, C1, DF = r.numerator * cd * fd, c.numerator * rd * fd, f.numerator * rd * cd
-    n, q = pt.beta.numerator, pt.beta.denominator
-    cb = q * C1 - n * R
-    if not cb:
+    """The tilt slope as (2 A DF - a R, 2 A C1) from `_twist_scaled`, None
+    when c_beta = 0. R, C1 and DF do not involve the degree, so 0 stands in."""
+    _, (R, C1, _, DF, _, _) = _twist_scaled(ch, pt.beta, 0)
+    if not C1:
         return None
     a, A = pt.alpha2.numerator, pt.alpha2.denominator
-    q2 = q * q
-    return A * (2 * q2 * DF - 2 * n * q * C1 + n * n * R) - a * q2 * R, 2 * A * q * cb
+    return 2 * A * DF - a * R, 2 * A * C1
 
 
 def nu(ch: CharVector, pt: TiltPoint) -> ExtRat:
@@ -117,7 +107,7 @@ def nu_mixed(ch: CharVector, pt: TiltPoint, t: Rat | int, X: RuledThreefold) -> 
     t = as_rat(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    _, (R, C1, _, DF, DH, _) = _twist_scaled(ch, pt.beta, X)
+    _, (R, C1, _, DF, DH, _) = _twist_scaled(ch, pt.beta, X.degree)
     if not C1:
         return INFINITY
     a, A = pt.alpha2.numerator, pt.alpha2.denominator
@@ -152,7 +142,7 @@ class HeartReport:
 
 
 def heart_sign_constraints(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> HeartReport:
-    _, (R, C1, _, DF, DH, E) = _twist_scaled(ch, pt.beta, X)
+    _, (R, C1, _, DF, DH, E) = _twist_scaled(ch, pt.beta, X.degree)
     hf1 = C1 >= 0
     b2 = C1 == 0
     h2 = f2 = r0 = True
@@ -170,7 +160,7 @@ def heart_sign_constraints(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> 
 
 def _charge_parts(ch: CharVector, p: ChargeParams, X: RuledThreefold) -> tuple[int, int, int]:
     """(Re, Im, N): the central charge as two int numerators over N > 0."""
-    M, (R, C1, C2, DF, DH, E) = _twist_scaled(ch, p.beta, X)
+    M, (R, C1, C2, DF, DH, E) = _twist_scaled(ch, p.beta, X.degree)
     a, A = p.alpha2.numerator, p.alpha2.denominator
     sn, sd = p.s.numerator, p.s.denominator
     tn, td = p.t.numerator, p.t.denominator

@@ -49,7 +49,7 @@ def rat_fields(obj, names: tuple[str, ...]) -> None:
 
 
 def format_rat(q: Rat | int) -> str:
-    return str(Fraction(q))
+    return str(as_rat(q))
 
 
 def rat_sqrt(q: Rat | int) -> Rat | None:
@@ -88,10 +88,6 @@ class ExtRat:
 
     def __init__(self, value: Rat | int | None):
         self._v = None if value is None else as_rat(value)
-
-    @staticmethod
-    def finite(value: Rat | int) -> "ExtRat":
-        return ExtRat(as_rat(value))
 
     @property
     def is_infinite(self) -> bool:

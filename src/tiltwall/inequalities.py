@@ -39,7 +39,6 @@ from .geometry import (
     CharVector,
     RuledThreefold,
     euler_char_pair,
-    fiber_pushforward_char,
     line_bundle_char,
 )
 from .stability import _nu_parts
@@ -140,9 +139,14 @@ def liu_abcd(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> tuple[Rat, Rat
 
 
 def fiber_bogomolov_defect(k: int, A: CharVector, X: RuledThreefold) -> Rat:
-    """Discriminant of the pushforward from k fibers; twist-invariant."""
-    L, (_, _, C2, _, DH, E) = fiber_pushforward_char(k, A)._scaled()
-    return Fraction(DH * DH - 2 * C2 * E, L * L)
+    """Discriminant of the pushforward from k fibers; twist-invariant.
+
+    The pushforward is (0, 0, k r, 0, k cHF, k dF), so dH^2 - 2 cHH e is
+    k^2 (cHF^2 - 2 r dF) = k^2 disc_bar(A).
+    """
+    if not isinstance(k, int) or k <= 0:
+        raise ValueError("k must be a positive integer")
+    return k * k * disc_bar(A)
 
 
 def prop42_chi_bounds(ch: CharVector, X: RuledThreefold) -> tuple[Rat, Rat]:

@@ -10,6 +10,13 @@ Sylvester minors on the restricted Gram matrix) and nonnegative on the
 equality-case fixture classes. Failure to find a witness in a finite grid is
 reported as inconclusive, never as a refutation.
 
+Nothing here expands the twist again. Z is linear in ch, so the i-th
+coefficient of Re Z and Im Z is `central_charge(e_i)` on the unit character
+e_i. `bg_weak_defect` and `disc_bar` are quadratic in ch, so each form is
+the polarization Q[i][j] = (q(e_i + e_j) - q(e_i) - q(e_j)) / 2 read off q
+on the six unit characters and their 15 pairwise sums. Every value read is
+an exact Fraction from the layer-3 kernels, so every entry is exact.
+
 Certificate lemma: if a nonzero v in ker Z is isotropic for every generator
 of the family, then every combination Q of them has Q(v) = 0, so none is
 negative definite on ker Z. For every charge, v = (0, 0, 1, 0, beta,
@@ -21,19 +28,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .chern import TiltPoint
-from .exactnum import Rat, RatMatrix, is_positive_definite
+from .exactnum import Rat, RatMatrix, as_rat, is_positive_definite
 from .geometry import (
     CharVector,
     RuledThreefold,
     fiber_pushforward_char,
     line_bundle_char,
 )
-from .stability import ChargeParams
+from .inequalities import bg_weak_defect, disc_bar
+from .stability import ChargeParams, central_charge
 
 _COORDS = ("r", "cHF", "cHH", "dF", "dH", "e")
+_UNITS = tuple(CharVector(*[int(i == j) for j in range(6)]) for i in range(6))
+_PAIR_SUMS = tuple(
+    (i, j, _UNITS[i] + _UNITS[j]) for i in range(6) for j in range(i + 1, 6)
+)
 
 
 @dataclass(frozen=True)
@@ -49,7 +61,7 @@ class QForm6:
             raise ValueError("QForm6 needs a symmetric matrix")
 
     def value(self, v: Sequence[Rat | int]) -> Rat:
-        vv = [Fraction(x) for x in v]
+        vv = [as_rat(x) for x in v]
         return sum(
             vv[i] * self.matrix[i, j] * vv[j] for i in range(6) for j in range(6)
         )
@@ -83,7 +95,7 @@ class ChargeFunctionals:
         return RatMatrix([self.re_coeffs, self.im_coeffs])
 
     def evaluate(self, v: Sequence[Rat | int]) -> tuple[Rat, Rat]:
-        vv = [Fraction(x) for x in v]
+        vv = [as_rat(x) for x in v]
         return (
             sum(a * x for a, x in zip(self.re_coeffs, vv)),
             sum(a * x for a, x in zip(self.im_coeffs, vv)),
@@ -91,73 +103,36 @@ class ChargeFunctionals:
 
 
 def charge_functionals(p: ChargeParams, X: RuledThreefold) -> ChargeFunctionals:
-    """Expand the twisted degrees of the charge into untwisted coordinates."""
-    a2, b, s, t, d = p.alpha2, p.beta, p.s, p.t, Fraction(X.degree)
-    re = (
-        -b * s + b**3 * d / 6 - a2 * b * d / 4,
-        s - a2 * d / 4,
-        (a2 - b * b) / 2,
-        Fraction(0),
-        b,
-        Fraction(-1),
-    )
-    im = (
-        b * b / 2 * d + t / 2 * (b * b - a2),
-        -t * b,
-        -b,
-        t,
-        Fraction(1),
-        Fraction(0),
-    )
-    return ChargeFunctionals(re, im)
+    """Re Z and Im Z as coefficient vectors: Z is linear, so they are its
+    values on the unit characters."""
+    zs = [central_charge(e, p, X) for e in _UNITS]
+    return ChargeFunctionals(tuple(z.re for z in zs), tuple(z.im for z in zs))
 
 
-def _functional_coeffs_abcd(pt: TiltPoint, d: Fraction):
-    """Coefficient vectors of the four weak-inequality functionals."""
-    a2, b = pt.alpha2, pt.beta
-    fa = (a2 / 2 - b * b / 2, b, Fraction(0), Fraction(-1), Fraction(0), Fraction(0))
-    fb = (
-        b**3 * d / 6 - a2 * b * d / 4,
-        -a2 * d / 4,
-        (a2 - b * b) / 2,
-        Fraction(0),
-        b,
-        Fraction(-1),
-    )
-    fc = (-b, Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-    fd = (b * b / 2 * d, Fraction(0), -b, Fraction(0), Fraction(1), Fraction(0))
-    return fa, fb, fc, fd
-
-
-def _sym_outer(x: Sequence[Fraction], y: Sequence[Fraction]) -> RatMatrix:
-    return RatMatrix(
-        [
-            [(x[i] * y[j] + x[j] * y[i]) / 2 for j in range(6)]
-            for i in range(6)
-        ]
-    )
+def _polarize(q: Callable[[CharVector], Rat]) -> QForm6:
+    """The symmetric matrix of the quadratic form q on the lattice coordinates."""
+    diag = [q(e) for e in _UNITS]
+    rows = [[diag[i] if i == j else None for j in range(6)] for i in range(6)]
+    for i, j, s in _PAIR_SUMS:
+        rows[i][j] = rows[j][i] = (q(s) - diag[i] - diag[j]) / 2
+    return QForm6(RatMatrix(rows))
 
 
 def bg_quadratic_form(pt: TiltPoint, X: RuledThreefold) -> QForm6:
     """Polarization of b*c - a*d; evaluates to the weak inequality defect."""
-    fa, fb, fc, fd = _functional_coeffs_abcd(pt, Fraction(X.degree))
-    m = _sym_outer(fb, fc).add(_sym_outer(fa, fd).scale(-1))
-    return QForm6(m)
+    return _polarize(lambda ch: bg_weak_defect(ch, pt, X))
 
 
 def disc_bar_form() -> QForm6:
     """Polarization of cHF^2 - 2 r dF."""
-    rows = [[Fraction(0)] * 6 for _ in range(6)]
-    rows[1][1] = Fraction(1)
-    rows[0][3] = rows[3][0] = Fraction(-1)
-    return QForm6(RatMatrix(rows))
+    return _polarize(disc_bar)
 
 
 def is_negative_definite_on(Q: QForm6, basis: Sequence[Sequence[Rat | int]]) -> bool:
     """Restrict to the span of `basis` and test definiteness of the negation."""
     if not basis:
         raise ValueError("empty basis")
-    b = RatMatrix([[Fraction(x) for x in v] for v in basis]).transpose()
+    b = RatMatrix(basis).transpose()
     if b.rows != 6:
         raise ValueError("basis vectors must have 6 coordinates")
     if b.rank() != b.cols:
@@ -223,8 +198,8 @@ def verify_support(
     Sylvester test. The vector exists for every charge, so the grid only
     runs for a family the certificate does not cover.
     """
-    lams = [Fraction(x) for x in lambda_candidates]
-    mus = [Fraction(x) for x in mu_candidates]
+    lams = [as_rat(x) for x in lambda_candidates]
+    mus = [as_rat(x) for x in mu_candidates]
     if any(x < 0 for x in lams):
         raise ValueError("lambda candidates must be nonnegative")
     if any(x <= 0 for x in mus):

@@ -3,19 +3,26 @@ kept verbatim as the reference for the library's integer kernels.
 
 Each body below is the library's formula written directly in Fraction
 arithmetic. `twist` here is `reference_twist`, the rational twist formulas,
-so no reference calls an integer kernel of the library.
+so no reference calls an integer kernel of the library. The support
+functionals at the end are the hand-expanded untwisted coefficients of Z,
+Q_weak and Q_disc, the reference for the library's forms read off the
+kernels.
 """
 
 from fractions import Fraction
+from typing import Sequence
 
 from tiltwall import (
     INFINITY,
     CharVector,
+    ChargeFunctionals,
     ChargeParams,
     ChargeValue,
     ExtRat,
     HeartReport,
+    QForm6,
     QuadRat,
+    RatMatrix,
     RuledThreefold,
     TiltPoint,
     fiber_pushforward_char,
@@ -218,3 +225,66 @@ def f_ch2_twisted(ch: CharVector, b: QuadRat | Rat | int) -> QuadRat:
     if not isinstance(b, QuadRat):
         b = QuadRat(b)
     return QuadRat(ch.dF) - b * ch.cHF + b * b * Fraction(ch.r, 2)
+
+
+def charge_functionals(p: ChargeParams, X: RuledThreefold) -> ChargeFunctionals:
+    """Expand the twisted degrees of the charge into untwisted coordinates."""
+    a2, b, s, t, d = p.alpha2, p.beta, p.s, p.t, Fraction(X.degree)
+    re = (
+        -b * s + b**3 * d / 6 - a2 * b * d / 4,
+        s - a2 * d / 4,
+        (a2 - b * b) / 2,
+        Fraction(0),
+        b,
+        Fraction(-1),
+    )
+    im = (
+        b * b / 2 * d + t / 2 * (b * b - a2),
+        -t * b,
+        -b,
+        t,
+        Fraction(1),
+        Fraction(0),
+    )
+    return ChargeFunctionals(re, im)
+
+
+def _functional_coeffs_abcd(pt: TiltPoint, d: Fraction):
+    """Coefficient vectors of the four weak-inequality functionals."""
+    a2, b = pt.alpha2, pt.beta
+    fa = (a2 / 2 - b * b / 2, b, Fraction(0), Fraction(-1), Fraction(0), Fraction(0))
+    fb = (
+        b**3 * d / 6 - a2 * b * d / 4,
+        -a2 * d / 4,
+        (a2 - b * b) / 2,
+        Fraction(0),
+        b,
+        Fraction(-1),
+    )
+    fc = (-b, Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0))
+    fd = (b * b / 2 * d, Fraction(0), -b, Fraction(0), Fraction(1), Fraction(0))
+    return fa, fb, fc, fd
+
+
+def _sym_outer(x: Sequence[Fraction], y: Sequence[Fraction]) -> RatMatrix:
+    return RatMatrix(
+        [
+            [(x[i] * y[j] + x[j] * y[i]) / 2 for j in range(6)]
+            for i in range(6)
+        ]
+    )
+
+
+def bg_quadratic_form(pt: TiltPoint, X: RuledThreefold) -> QForm6:
+    """Polarization of b*c - a*d; evaluates to the weak inequality defect."""
+    fa, fb, fc, fd = _functional_coeffs_abcd(pt, Fraction(X.degree))
+    m = _sym_outer(fb, fc).add(_sym_outer(fa, fd).scale(-1))
+    return QForm6(m)
+
+
+def disc_bar_form() -> QForm6:
+    """Polarization of cHF^2 - 2 r dF."""
+    rows = [[Fraction(0)] * 6 for _ in range(6)]
+    rows[1][1] = Fraction(1)
+    rows[0][3] = rows[3][0] = Fraction(-1)
+    return QForm6(RatMatrix(rows))

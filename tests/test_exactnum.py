@@ -38,6 +38,10 @@ class TestRat:
     def test_round_trip(self, q):
         assert parse_rat(format_rat(q)) == q
 
+    def test_format_rejects_float(self):
+        with pytest.raises(TypeError, match="float"):
+            format_rat(0.1)
+
     @given(rats, rats)
     def test_exact_add_sub(self, x, y):
         assert (x + y) - y == x
@@ -135,8 +139,6 @@ class TestExtRat:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             ExtRat(0.1)
-        with pytest.raises(TypeError):
-            ExtRat.finite(0.5)
 
     def test_total_order(self):
         assert INFINITY > ExtRat(10**9)

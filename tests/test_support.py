@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
 
 from tiltwall import (
     CHAR_O,
@@ -27,7 +28,16 @@ from tiltwall import (
     verify_support,
 )
 from tiltwall import support
-from conftest import rand_lattice_char, rand_point, rand_threefold
+import reference_formulas as ref
+from conftest import (
+    rand_lattice_char,
+    rand_point,
+    rand_threefold,
+    wide_charges,
+    wide_threefolds,
+    wide_tilt_points,
+)
+from test_scaled_kernels import ODD_CHARGE, ODD_POINT, same_rats
 
 BASIS = [CharVector(*[int(i == j) for j in range(6)]) for i in range(6)]
 
@@ -51,6 +61,11 @@ class TestChargeFunctionals:
     def test_skyscraper_value(self, rng):
         fun = charge_functionals(_params(rng), rand_threefold(rng))
         assert fun.evaluate(SKYSCRAPER.as_tuple()) == (-1, 0)
+
+    def test_evaluate_rejects_float(self, rng):
+        fun = charge_functionals(_params(rng), rand_threefold(rng))
+        with pytest.raises(TypeError, match="float"):
+            fun.evaluate((0, 0, 0, 0, 0, 0.5))
 
     def test_agrees_with_central_charge_on_basis(self, rng):
         for _ in range(40):
@@ -108,6 +123,10 @@ class TestDiscBarForm:
         nonzero = [(i, j) for i in range(6) for j in range(6) if q.matrix[i, j] != 0]
         assert sorted(nonzero) == [(0, 3), (1, 1), (3, 0)]
 
+    def test_value_rejects_float(self):
+        with pytest.raises(TypeError, match="float"):
+            disc_bar_form().value((0.5, 0, 0, 0, 0, 0))
+
     def test_matches_disc_bar(self, rng):
         q = disc_bar_form()
         for _ in range(100):
@@ -138,6 +157,37 @@ class TestBGQuadraticForm:
             ch = rand_lattice_char(rng)
             q = bg_quadratic_form(pt, X)
             assert q.value_char(ch) == bg_weak_defect(ch, pt, X)
+
+
+def same_form(got: QForm6, want: QForm6) -> bool:
+    return type(got) is QForm6 and all(
+        same_rats(got.matrix.row(i), want.matrix.row(i)) for i in range(6)
+    )
+
+
+class TestAgainstHandExpandedFormulas:
+    """Z's coefficients and both forms, read off the kernels, against the
+    hand-expanded untwisted coefficients in `reference_formulas`."""
+
+    @given(wide_charges, wide_threefolds)
+    @example(ODD_CHARGE, RuledThreefold(2, -5))
+    @example(ODD_CHARGE, RuledThreefold(0, 0))
+    @example(ChargeParams(1, 0, 1, 1), RuledThreefold(3, -1))
+    def test_charge_functionals(self, p, X):
+        got, want = charge_functionals(p, X), ref.charge_functionals(p, X)
+        assert type(got) is ChargeFunctionals
+        assert same_rats(got.re_coeffs, want.re_coeffs)
+        assert same_rats(got.im_coeffs, want.im_coeffs)
+
+    @given(wide_tilt_points, wide_threefolds)
+    @example(ODD_POINT, RuledThreefold(2, -5))
+    @example(TiltPoint(1, 0), RuledThreefold(0, 0))
+    @example(TiltPoint(Fraction(1, 3), Fraction(5, 2)), RuledThreefold(5, -20))
+    def test_bg_quadratic_form(self, pt, X):
+        assert same_form(bg_quadratic_form(pt, X), ref.bg_quadratic_form(pt, X))
+
+    def test_disc_bar_form(self):
+        assert same_form(disc_bar_form(), ref.disc_bar_form())
 
 
 NEG_DEFINITE_FIXTURES = [
@@ -196,6 +246,11 @@ class TestNegativeDefiniteOn:
         w = (2, 0, 0, 0, 0, 0)
         with pytest.raises(ValueError, match="independent"):
             is_negative_definite_on(q, [v, w])
+
+    def test_rejects_float_basis(self):
+        q = QForm6(RatMatrix.identity(6).scale(-1))
+        with pytest.raises(TypeError, match="float"):
+            is_negative_definite_on(q, [(0.5, 0, 0, 0, 0, 0)])
 
     def test_rejects_empty_basis(self):
         q = QForm6(RatMatrix.identity(6).scale(-1))
@@ -282,6 +337,14 @@ class TestVerifySupport:
             verify_support(p, X, [-1], [1])
         with pytest.raises(ValueError):
             verify_support(p, X, [0], [0])
+
+    def test_rejects_float_candidates(self):
+        X = RuledThreefold(0, 3)
+        p = ChargeParams(1, 0, 1, 1)
+        with pytest.raises(TypeError, match="float"):
+            verify_support(p, X, [0.1], [Fraction(1, 2)])
+        with pytest.raises(TypeError, match="float"):
+            verify_support(p, X, [Fraction(1, 10)], [0.5])
 
     def test_fixture_classes_have_nonnegative_weak_defect_heritage(self, rng):
         # the fixtures are exactly the equality cases: disc vanishes on all

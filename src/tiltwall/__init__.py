@@ -20,7 +20,6 @@ from .exactnum import (
     format_quadrat,
     format_rat,
     is_positive_definite,
-    parse_quadrat,
     parse_rat,
     rat_sqrt,
 )

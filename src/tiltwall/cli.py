@@ -149,7 +149,8 @@ def apply_config(argv: list[str]) -> list[str]:
                 if value.lower() == "true":
                     extra.append(flag)
             else:
-                extra.extend([flag, value])
+                # One token, so a value such as -1/2 is not read as a flag.
+                extra.append(f"{flag}={value}")
     return argv + extra
 
 
@@ -218,10 +219,8 @@ def _cmd_chern(args) -> int:
 
 
 def _cmd_slope(args) -> int:
-    kind = args.kind
-    ch = args.char
-    if ch is None:
-        raise CLIInputError("missing required flags: --char")
+    _require(args, ["char"])
+    kind, ch = args.kind, args.char
     if kind == "muHF":
         value = mu_HF(ch)
     elif kind == "muC":
@@ -239,11 +238,8 @@ def _cmd_slope(args) -> int:
             p = ChargeParams(args.alpha2, args.beta, args.s, args.t)
             value = nu_sigma(ch, p, _threefold(args))
     out = str(value)
-    if args.format == "json":
-        print(json.dumps({"kind": kind, "value": out}))
-    else:
-        suffix = "" if value.is_infinite or not args.approx else f"  (approx {_approx(value.value)})"
-        print(out + suffix)
+    suffix = "" if value.is_infinite or not args.approx else f"  (approx {_approx(value.value)})"
+    _emit(args, {"kind": kind, "value": out}, [out + suffix])
     return 0
 
 
@@ -261,9 +257,8 @@ def _verdict_lines(args, defects: dict) -> tuple[int, list[str]]:
 
 def _cmd_check(args) -> int:
     X = _threefold(args)
+    _require(args, ["char"])
     ch = args.char
-    if ch is None:
-        raise CLIInputError("missing required flags: --char")
     needs_pt = args.ineq in ("conj31", "conj32", "star", "weak")
     pt = None
     if needs_pt:
@@ -320,11 +315,7 @@ def _wall_text(wall) -> str:
 
 def _cmd_wall(args) -> int:
     wall = numerical_wall(args.u, args.w)
-    payload = _wall_payload(wall)
-    if args.format == "text":
-        print(_wall_text(wall))
-    else:
-        print(json.dumps(payload))
+    _emit(args, _wall_payload(wall), [_wall_text(wall)])
     return 0
 
 
@@ -358,18 +349,14 @@ def _cmd_walls(args) -> int:
 
 def _cmd_chi(args) -> int:
     X = _threefold(args)
+    _require(args, ["char"])
     ch = args.char
-    if ch is None:
-        raise CLIInputError("missing required flags: --char")
     if args.pair_from is not None:
         value = euler_char_pair(X, line_bundle_char(*args.pair_from, X), ch)
     else:
         value = euler_char(X, ch)
-    if args.format == "json":
-        print(json.dumps({"chi": format_rat(value)}))
-    else:
-        extra = f"  (approx {_approx(value)})" if args.approx else ""
-        print(format_rat(value) + extra)
+    extra = f"  (approx {_approx(value)})" if args.approx else ""
+    _emit(args, {"chi": format_rat(value)}, [format_rat(value) + extra])
     return 0
 
 

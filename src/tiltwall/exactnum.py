@@ -1,10 +1,12 @@
 """Exact number types and small exact linear algebra.
 
 Everything downstream computes over plain rationals (``fractions.Fraction``,
-aliased ``Rat``), quadratic irrationals ``a + b*sqrt(D)`` in a single
-extension (``QuadRat``), and rationals extended by ``+inf`` (``ExtRat``).
-No floating point enters any verdict; floats appear only in SVG coordinate
-rendering.
+aliased ``Rat``) and rationals extended by ``+inf`` (``ExtRat``, ordered
+but without arithmetic). ``QuadRat`` holds a quadratic irrational
+``a + b*sqrt(D)``, the twist parameter ``beta_bar``, as an exact value that
+is constructed, compared for equality and formatted, with no arithmetic of
+its own. No floating point enters any verdict; floats appear only in SVG
+coordinate rendering.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import re
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Rat = Fraction
 
@@ -136,11 +138,13 @@ INFINITY = ExtRat(None)
 
 
 class QuadRat:
-    """Exact value a + b*sqrt(radicand) in a single real quadratic extension.
+    """Exact value a + b*sqrt(radicand), as `beta_bar` and `f_ch2_twisted` return it.
 
-    radicand >= 0; a perfect-square radicand normalizes to b = 0. Arithmetic
-    between two irrational values requires equal radicands. Comparison against
-    rationals resolves the sign by exact case analysis, never by floats.
+    A plain value: it is constructed, compared for equality and formatted, and
+    carries no arithmetic or ordering. radicand >= 0; a perfect-square radicand
+    normalizes to b = 0, and b = 0 normalizes radicand to 0. Equality compares
+    the parts, and radicands are not reduced, so sqrt(2) and (1/2)*sqrt(8)
+    differ. It equals an int or Fraction exactly when it is rational.
     """
 
     __slots__ = ("a", "b", "radicand")
@@ -173,105 +177,15 @@ class QuadRat:
             raise ValueError("irrational QuadRat has no rational value")
         return self.a
 
-    @staticmethod
-    def _coerce(x) -> "QuadRat":
-        if isinstance(x, QuadRat):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QuadRat(x)
-        raise TypeError(f"cannot interpret {type(x).__name__} as QuadRat")
-
-    def _join(self, other: "QuadRat") -> Fraction:
-        if self.b != 0 and other.b != 0 and self.radicand != other.radicand:
-            raise ValueError(
-                f"mixed radicands {self.radicand} and {other.radicand} are rejected"
-            )
-        return self.radicand if self.b != 0 else other.radicand
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        d = self._join(other)
-        return QuadRat(self.a + other.a, self.b + other.b, d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadRat(-self.a, -self.b, self.radicand)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        d = self._join(other)
-        return QuadRat(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "QuadRat":
-        return QuadRat(self.a, -self.b, self.radicand)
-
-    def norm(self) -> Rat:
-        """a^2 - b^2 * radicand, the product with the conjugate."""
-        return self.a * self.a - self.b * self.b * self.radicand
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.a == 0 and other.b == 0:
-            raise ZeroDivisionError("QuadRat division by zero")
-        d = self._join(other)
-        n = other.norm()
-        num = self * other.conjugate()
-        return QuadRat(num.a / n, num.b / n, d)
-
-    def sign(self) -> int:
-        if self.b == 0:
-            return -1 if self.a < 0 else (0 if self.a == 0 else 1)
-        # a + b*sqrt(D) with D > 0 irrational, b != 0
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        diff = self.a * self.a - self.b * self.b * self.radicand
-        if self.a > 0:  # b < 0: sign of |a| - |b|sqrt(D)
-            return 1 if diff > 0 else -1  # diff == 0 impossible, D non-square
-        return -1 if diff > 0 else 1
-
-    def _cmp(self, other) -> int:
-        return (self - self._coerce(other)).sign()
-
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        if self.b != 0 and other.b != 0 and self.radicand != other.radicand:
-            return False
-        return self.a == other.a and self.b == other.b
+        if isinstance(other, QuadRat):
+            return (self.a, self.b, self.radicand) == (other.a, other.b, other.radicand)
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.a, self.b, self.radicand))
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     def __repr__(self):
         return f"QuadRat({self.a!r}, {self.b!r}, {self.radicand!r})"
@@ -286,26 +200,6 @@ def format_quadrat(x: QuadRat) -> str:
         return format_rat(x.a)
     sign = "+" if x.b > 0 else "-"
     return f"{format_rat(x.a)} {sign} {format_rat(abs(x.b))}*sqrt({format_rat(x.radicand)})"
-
-
-_QUAD_RE = re.compile(
-    r"^(?P<a>[+-]?\d+(?:/\d+)?)\s*(?P<sign>[+-])\s*"
-    r"(?P<b>\d+(?:/\d+)?)\*sqrt\((?P<d>\d+(?:/\d+)?)\)$"
-)
-
-
-def parse_quadrat(text: str) -> QuadRat:
-    """Inverse of format_quadrat."""
-    t = text.strip()
-    if _RAT_RE.match(t):
-        return QuadRat(Fraction(t))
-    m = _QUAD_RE.match(t)
-    if not m:
-        raise ValueError(f"not a QuadRat in canonical form: {text!r}")
-    b = Fraction(m.group("b"))
-    if m.group("sign") == "-":
-        b = -b
-    return QuadRat(Fraction(m.group("a")), b, Fraction(m.group("d")))
 
 
 class RatMatrix:
@@ -375,12 +269,6 @@ class RatMatrix:
         return RatMatrix(
             [[sum(a * b for a, b in zip(r, c)) for c in ot] for r in self._e]
         )
-
-    def mul_vec(self, v: Sequence[Rat | int]) -> tuple[Rat, ...]:
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        vv = [as_rat(x) for x in v]
-        return tuple(sum(a * b for a, b in zip(r, vv)) for r in self._e)
 
     def scale(self, k: Rat | int) -> "RatMatrix":
         k = as_rat(k)

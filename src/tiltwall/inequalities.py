@@ -24,9 +24,8 @@ rational formula through by its denominator gives
 
 The numerators are exact Python ints and each returned value is one
 Fraction(numerator, denominator), so it equals the rational evaluation
-exactly. `corollary_defect` and `chi_bounds_via_rr` keep their own routes
-(through `disc_tilde`/`disc_bar` and through Riemann-Roch pairings), so
-they stay independent checks of `nabla` and `prop42_chi_bounds`.
+exactly. `corollary_defect` keeps its own route (through `disc_tilde` and
+`disc_bar`), so it stays an independent check of `nabla`.
 """
 
 from __future__ import annotations
@@ -35,12 +34,7 @@ from fractions import Fraction
 
 from .chern import TiltPoint, _twist_scaled
 from .exactnum import Rat
-from .geometry import (
-    CharVector,
-    RuledThreefold,
-    euler_char_pair,
-    line_bundle_char,
-)
+from .geometry import CharVector, RuledThreefold
 from .stability import _nu_parts
 
 
@@ -162,10 +156,3 @@ def prop42_chi_bounds(ch: CharVector, X: RuledThreefold) -> tuple[Rat, Rat]:
         Fraction(common - 3 * DH + (3 * g - 3 + 2 * d) * C1, 6 * L),
     )
 
-
-def chi_bounds_via_rr(ch: CharVector, X: RuledThreefold) -> tuple[Rat, Rat]:
-    """The same two functionals through the Riemann-Roch pairing route."""
-    return (
-        euler_char_pair(X, line_bundle_char(1, 0, X), ch),
-        euler_char_pair(X, line_bundle_char(2, 0, X), ch),
-    )

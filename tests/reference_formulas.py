@@ -12,6 +12,8 @@ kernels.
 from fractions import Fraction
 from typing import Sequence
 
+import sympy as sp
+
 from tiltwall import (
     INFINITY,
     CharVector,
@@ -25,7 +27,9 @@ from tiltwall import (
     RatMatrix,
     RuledThreefold,
     TiltPoint,
+    euler_char_pair,
     fiber_pushforward_char,
+    line_bundle_char,
 )
 from tiltwall.exactnum import Rat
 
@@ -220,11 +224,36 @@ def euler_char(X: RuledThreefold, ch: CharVector) -> Rat:
     return ch.e + c1_ch2 / 2 + c1sq_c2_ch1 / 12 + ch.r * (1 - g)
 
 
-def f_ch2_twisted(ch: CharVector, b: QuadRat | Rat | int) -> QuadRat:
-    """F.ch2 of the twisted character, evaluated in the quadratic extension."""
-    if not isinstance(b, QuadRat):
-        b = QuadRat(b)
-    return QuadRat(ch.dF) - b * ch.cHF + b * b * Fraction(ch.r, 2)
+def chi_bounds_via_rr(ch: CharVector, X: RuledThreefold) -> tuple[Rat, Rat]:
+    """The two functionals of `prop42_chi_bounds` through the Riemann-Roch pairing route."""
+    return (
+        euler_char_pair(X, line_bundle_char(1, 0, X), ch),
+        euler_char_pair(X, line_bundle_char(2, 0, X), ch),
+    )
+
+
+_SQRT_D = sp.Symbol("s", positive=True)
+
+
+def _sym(q: Rat | int) -> sp.Rational:
+    q = Fraction(q)
+    return sp.Rational(q.numerator, q.denominator)
+
+
+def f_ch2_twisted(ch: CharVector, b: QuadRat | Rat | int) -> tuple[Rat, Rat, Rat]:
+    """F.ch2 of the twisted character at b = x + y sqrt(D), expanded by sympy.
+
+    sqrt(D) is the symbol s: dF - b cHF + (r/2) b^2 is expanded, reduced by
+    s^2 -> D and read off as (a, b, radicand) of a + b sqrt(radicand), with
+    radicand 0 when b is 0 (QuadRat's normal form). Only the parts of the
+    argument are read, so no QuadRat arithmetic enters the reference.
+    """
+    x, y, D = (b.a, b.b, b.radicand) if isinstance(b, QuadRat) else (b, 0, 0)
+    beta = _sym(x) + _sym(y) * _SQRT_D
+    poly = sp.expand(_sym(ch.dF) - beta * _sym(ch.cHF) + beta**2 * _sym(ch.r) / 2)
+    poly = sp.rem(poly, _SQRT_D**2 - _sym(D), _SQRT_D)
+    c0, c1 = (Fraction(int(c.p), int(c.q)) for c in (poly.coeff(_SQRT_D, 0), poly.coeff(_SQRT_D, 1)))
+    return c0, c1, Fraction(D) if c1 != 0 else Fraction(0)
 
 
 def charge_functionals(p: ChargeParams, X: RuledThreefold) -> ChargeFunctionals:

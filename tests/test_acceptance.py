@@ -41,7 +41,7 @@ from tiltwall import (
 )
 from tiltwall.chern import disc_bar_reduced
 from tiltwall.exactnum import RatMatrix
-from tiltwall.inequalities import chi_bounds_via_rr
+from reference_formulas import chi_bounds_via_rr
 from tiltwall.support import QForm6
 from tiltwall.walls import EVERYWHERE, SemicircleWall, circle_through
 from wall_oracle import covering_c_window, oracle_enumerate, result_to_set, sample_points

@@ -165,8 +165,11 @@ class TestBetaBar:
             hi = beta_bar(ch, other_root=True)
             assert f_ch2_twisted(ch, lo) == QuadRat(0)
             assert f_ch2_twisted(ch, hi) == QuadRat(0)
-            if ch.r > 0:
-                assert lo <= hi
+            if ch.r > 0:  # the default branch is the smaller root
+                if lo.is_rational:
+                    assert lo.to_rat() <= hi.to_rat()
+                else:
+                    assert (lo.a, lo.radicand) == (hi.a, hi.radicand) and lo.b < 0 < hi.b
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="negative discriminant"):

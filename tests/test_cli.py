@@ -354,6 +354,15 @@ class TestConfigAndRoundTrip:
         assert run(["chi", "--config", str(cfg), "--genus", "0"]) == 0
         assert out_of(capsys)[0] == "1"
 
+    def test_config_value_starting_with_minus(self, tmp_path, capsys):
+        flags = ["--alpha2", "1", "--char", "1,1,3,1/2,3/2,1/2"]
+        assert run(["slope", "--kind", "nu", *flags, "--beta=-1/2"]) == 0
+        by_flag = out_of(capsys)
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("beta = -1/2\n")
+        assert run(["slope", "--kind", "nu", *flags, "--config", str(cfg)]) == 0
+        assert out_of(capsys) == by_flag == ("5/12", "")
+
     def test_printed_rationals_reparse(self, capsys):
         run(["chi", "--genus", "3", "--degree", "-1", "--char", "2,1,0,1/2,-3/2,5/6"])
         out, _ = out_of(capsys)

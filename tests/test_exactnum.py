@@ -16,7 +16,6 @@ from tiltwall.exactnum import (
     format_quadrat,
     format_rat,
     is_positive_definite,
-    parse_quadrat,
     parse_rat,
     rat_sqrt,
 )
@@ -87,39 +86,29 @@ class TestQuadRat:
     def test_zero_b_normalizes_radicand(self):
         assert QuadRat(3, 0, 7) == QuadRat(3)
 
-    @given(rats, rats, st.sampled_from([2, 3, 5, Fraction(7, 2)]))
-    def test_conjugate_identity(self, a, b, d):
-        x = QuadRat(a, b, d)
-        prod = x * x.conjugate()
-        assert prod.is_rational
-        assert prod.to_rat() == a * a - b * b * Fraction(d)
+    def test_equality(self):
+        assert QuadRat(Fraction(3, 2)) == Fraction(3, 2) and Fraction(3, 2) == QuadRat(Fraction(3, 2))
+        assert QuadRat(-2) == -2
+        assert QuadRat(0, 1, 2) != 0
+        assert QuadRat(1, 1, 2) != QuadRat(1, -1, 2)
+        assert QuadRat(0, 1, 2) != QuadRat(0, 1, 3)
+        assert QuadRat(1, 1, 2) != 1.0
+        assert hash(QuadRat(1, 1, Fraction(9, 4))) == hash(QuadRat(Fraction(5, 2)))
 
-    def test_mixed_radicands_rejected(self):
-        with pytest.raises(ValueError, match="mixed radicands"):
-            QuadRat(0, 1, 2) + QuadRat(0, 1, 3)
+    def test_no_arithmetic_or_ordering(self):
+        x = QuadRat(1, 1, 2)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.lt, operator.ge):
+            with pytest.raises(TypeError):
+                op(x, 1)
 
-    def test_comparison_cases(self):
-        sqrt2 = QuadRat(0, 1, 2)
-        assert sqrt2 > 1
-        assert sqrt2 < Fraction(3, 2)
-        assert QuadRat(1, -1, 2) < 0  # 1 - sqrt(2)
-        assert QuadRat(2, -1, 2) > 0  # 2 - sqrt(2)
-        assert QuadRat(-1, 1, 2) > 0  # sqrt(2) - 1
-        assert QuadRat(-2, 1, 2) < 0
-        assert QuadRat(1, 1, 2) > QuadRat(1, -1, 2)
-
-    @given(rats, rats.filter(lambda q: q != 0))
-    def test_division(self, a, b):
-        x = QuadRat(a, b, 5)
-        assert x / x == QuadRat(1)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            QuadRat(1, 1, 2) / QuadRat(0)
-
-    def test_format_parse_round_trip(self):
-        for x in (QuadRat(1), QuadRat(Fraction(-3, 2)), QuadRat(Fraction(1, 2), Fraction(-1, 3), 5)):
-            assert parse_quadrat(format_quadrat(x)) == x
+    def test_format_pinned(self):
+        for x, text in (
+            (QuadRat(3), "3"),
+            (QuadRat(Fraction(-3, 2)), "-3/2"),
+            (QuadRat(Fraction(1, 2), Fraction(-1, 3), 5), "1/2 - 1/3*sqrt(5)"),
+            (QuadRat(0, 2, Fraction(7, 2)), "0 + 2*sqrt(7/2)"),
+        ):
+            assert format_quadrat(x) == text == str(x)
 
 
 class TestAsRat:
@@ -210,8 +199,6 @@ class TestRatMatrix:
         m = RatMatrix([[1, 0], [0, 1]])
         with pytest.raises(TypeError, match="float"):
             m.scale(0.5)
-        with pytest.raises(TypeError, match="float"):
-            m.mul_vec([1, 0.5])
 
     def test_kernel_invertible_empty(self):
         assert RatMatrix.identity(2).kernel_basis() == []
@@ -227,7 +214,7 @@ class TestRatMatrix:
             basis = m.kernel_basis()
             assert len(basis) == m.cols - m.rank()
             for v in basis:
-                assert all(x == 0 for x in m.mul_vec(v))
+                assert all(sum(a * x for a, x in zip(m.row(i), v)) == 0 for i in range(m.rows))
 
     def test_kernel_plus_row_space_spans(self, rng=random.Random(8)):
         for _ in range(30):

@@ -28,7 +28,7 @@ from tiltwall import (
     tensor_line,
     twist,
 )
-from tiltwall.inequalities import chi_bounds_via_rr
+from reference_formulas import chi_bounds_via_rr
 from conftest import (
     lattice_chars,
     rand_lattice_char,

@@ -1,0 +1,52 @@
+"""The README's command-line examples stay true.
+
+Every `tiltwall ...` line of README.md (with `\\` continuations joined) that
+is followed by `# ...` output lines is run through `cli.run`, and its stdout
+is compared with those lines. Lines marked `# (stderr)` describe stderr and
+are not compared.
+"""
+
+import shlex
+from pathlib import Path
+
+import pytest
+
+from tiltwall.cli import run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples() -> list[tuple[str, str]]:
+    """(command line, expected stdout) for each README example with output lines."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    examples = []
+    i = 0
+    while i < len(lines):
+        cmd = lines[i]
+        i += 1
+        if not cmd.startswith("tiltwall "):
+            continue
+        while cmd.endswith("\\") and i < len(lines):
+            cmd = cmd[:-1].rstrip() + " " + lines[i].strip()
+            i += 1
+        shown = []
+        while i < len(lines) and lines[i].startswith("# "):
+            if not lines[i].startswith("# (stderr)"):
+                shown.append(lines[i][2:])
+            i += 1
+        if shown:
+            examples.append((cmd, "".join(line + "\n" for line in shown)))
+    return examples
+
+
+EXAMPLES = readme_examples()
+
+
+def test_examples_found():
+    assert len(EXAMPLES) >= 5
+
+
+@pytest.mark.parametrize("cmd,stdout", EXAMPLES, ids=[c.split()[1] for c, _ in EXAMPLES])
+def test_example_stdout(cmd, stdout, capsys):
+    run(shlex.split(cmd, comments=True)[1:])
+    assert capsys.readouterr().out == stdout

@@ -216,15 +216,15 @@ class TestFCh2Twisted:
     @example(CharVector(1, 0, 0, 0, 0, 0), Fraction(1, 3), Fraction(2, 7), Fraction(9, 4))
     def test_quadratic_argument(self, ch, x, y, D):
         b = QuadRat(x, y, D)
-        got, want = f_ch2_twisted(ch, b), ref.f_ch2_twisted(ch, b)
+        got = f_ch2_twisted(ch, b)
         assert type(got) is QuadRat
-        assert (got.a, got.b, got.radicand) == (want.a, want.b, want.radicand)
+        assert (got.a, got.b, got.radicand) == ref.f_ch2_twisted(ch, b)
         assert all(type(v) is Fraction for v in (got.a, got.b, got.radicand))
 
     @given(wide_chars, st.one_of(st.integers(-50, 50), wide_rats))
     def test_rational_argument(self, ch, b):
-        got, want = f_ch2_twisted(ch, b), ref.f_ch2_twisted(ch, b)
-        assert (got.a, got.b, got.radicand) == (want.a, want.b, want.radicand)
+        got = f_ch2_twisted(ch, b)
+        assert (got.a, got.b, got.radicand) == ref.f_ch2_twisted(ch, b)
 
     @given(wide_chars)
     def test_beta_bar_roots_annihilate(self, ch):
@@ -234,4 +234,4 @@ class TestFCh2Twisted:
             except ValueError:
                 return
             got = f_ch2_twisted(ch, b)
-            assert got == 0 and got == ref.f_ch2_twisted(ch, b)
+            assert got == 0 and (got.a, got.b, got.radicand) == ref.f_ch2_twisted(ch, b)

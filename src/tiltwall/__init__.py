@@ -19,7 +19,6 @@ from .exactnum import (
     RatMatrix,
     format_quadrat,
     format_rat,
-    is_positive_definite,
     parse_rat,
     rat_sqrt,
 )
@@ -68,13 +67,10 @@ from .stability import (
 from .support import (
     ChargeFunctionals,
     QForm6,
-    SupportWitness,
     bg_quadratic_form,
     charge_functionals,
     disc_bar_form,
-    equality_case_fixtures,
     family_forms,
-    is_negative_definite_on,
     null_kernel_vector,
     verify_support,
 )

@@ -4,7 +4,8 @@ Subcommands: chern | slope | check | wall | walls | chi | support | selftest.
 Rationals are printed exactly ('p' or 'p/q'); --approx adds a clearly labeled
 decimal. Exit codes: 0 success / inequality holds, 1 negative verdict
 (inequality violated, no support witness, selftest failure), 2 malformed
-input.
+input. `support` never exits 0: for every charge it prints the exact kernel
+vector that rules out its whole family of forms.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .inequalities import (
 )
 from .selftest import run_selftest
 from .stability import ChargeParams, mu_C, mu_HF, nu, nu_mixed, nu_sigma
-from .support import charge_functionals, family_forms, null_kernel_vector, verify_support
+from .support import null_kernel_vector
 from .walls import (
     EVERYWHERE,
     SemicircleWall,
@@ -102,24 +103,10 @@ def _point(text):
     return TiltPoint(parse_rat(a2), parse_rat(b))
 
 
-# Longest --lambda-grid or --mu-grid accepted, checked before any list is built.
-MAX_GRID_ENTRIES = 10_000
-# Most lambda x mu cells `support` tests (a Sylvester test each, about 3 ms).
-MAX_SUPPORT_CELLS = 10_000
 # Most candidate classes `walls` scans, by `candidate_bound`. On a 2-vCPU host
 # a bounded class costs about 1 us when disc(u) is large and up to about 20 us
 # when it is small against the rank.
 MAX_WALL_CANDIDATES = 1_000_000
-
-
-def _grid(text):
-    start, stop, step = (parse_rat(p) for p in text.split(","))
-    if step <= 0:
-        raise ValueError("grid step must be positive")
-    count = max(0, math.floor((stop - start) / step) + 1)
-    if count > MAX_GRID_ENTRIES:
-        raise ValueError(f"grid has {count} entries, more than the cap of {MAX_GRID_ENTRIES}")
-    return [start + k * step for k in range(count)]
 
 
 def apply_config(argv: list[str]) -> list[str]:
@@ -360,56 +347,22 @@ def _cmd_chi(args) -> int:
     return 0
 
 
-def _no_witness_reason(p: ChargeParams, X: RuledThreefold, cells: int) -> tuple[dict, str]:
-    """Why `verify_support` found no witness, as a JSON reason and a note line."""
-    v = null_kernel_vector(charge_functionals(p, X), p, family_forms(p, X))
-    if v is None:
-        return (
-            {"kind": "grid_exhausted", "cells": cells},
-            f"note: none of the {cells} grid cells gave a witness",
-        )
-    vector = [format_rat(x) for x in v]
-    return (
-        {"kind": "null_kernel_vector", "vector": vector, "vanishing": ["Q_weak", "Q_disc"]},
-        f"note: Q_weak and Q_disc both vanish on v = ({','.join(vector)}) in ker Z, "
-        "so no mu*Q_weak + lambda*Q_disc is negative definite on ker Z",
-    )
-
-
 def _cmd_support(args) -> int:
     X = _threefold(args)
     _require(args, ["alpha2", "beta", "s", "t"])
-    cells = len(args.lambda_grid) * len(args.mu_grid)
-    if cells > MAX_SUPPORT_CELLS:
-        raise CLIInputError(f"grid has {cells} cells, more than the cap of {MAX_SUPPORT_CELLS}")
     p = ChargeParams(args.alpha2, args.beta, args.s, args.t)
-    witness = verify_support(p, X, args.lambda_grid, args.mu_grid)
-    if witness is None:
-        reason, note = _no_witness_reason(p, X, cells)
-        if args.format == "json":
-            print(json.dumps({"witness": None, "reason": reason}))
-        else:
-            print("no witness in grid")
-            print(note, file=sys.stderr)
-        return 1
-    entries = witness.form.upper_entries()
+    vector = [format_rat(x) for x in null_kernel_vector(p, X)]
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "witness": {
-                        "lambda": format_rat(witness.lam),
-                        "mu": format_rat(witness.mu),
-                        "Q": {f"{i},{j}": format_rat(v) for i, j, v in entries},
-                    }
-                }
-            )
-        )
+        reason = {"kind": "null_kernel_vector", "vector": vector, "vanishing": ["Q_weak", "Q_disc"]}
+        print(json.dumps({"witness": None, "reason": reason}))
     else:
-        print(f"witness: lambda={format_rat(witness.lam)} mu={format_rat(witness.mu)}")
-        for i, j, v in entries:
-            print(f"Q[{i},{j}] = {format_rat(v)}")
-    return 0
+        print("no witness in grid")
+        print(
+            f"note: Q_weak and Q_disc both vanish on v = ({','.join(vector)}) in ker Z, "
+            "so no mu*Q_weak + lambda*Q_disc is negative definite on ker Z",
+            file=sys.stderr,
+        )
+    return 1
 
 
 def _cmd_selftest(args) -> int:
@@ -573,17 +526,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-from", type=_type(_int_pair, "pair"), default=None, metavar="a,b")
     p.set_defaults(handler=_cmd_chi)
 
-    p = sub.add_parser("support", parents=[common], help="search a support-property witness")
+    p = sub.add_parser("support", parents=[common], help="why no support-property witness exists")
     p.add_argument("--alpha2", type=_rat, default=None)
     p.add_argument("--beta", type=_rat, default=None)
     p.add_argument("--s", type=_rat, default=None)
     p.add_argument("--t", type=_rat, default=None)
-    p.add_argument(
-        "--lambda-grid", type=_type(_grid, "grid"), default=_grid("0,2,1/4"), metavar="LO,HI,STEP"
-    )
-    p.add_argument(
-        "--mu-grid", type=_type(_grid, "grid"), default=_grid("1/4,2,1/4"), metavar="LO,HI,STEP"
-    )
     p.set_defaults(handler=_cmd_support)
 
     p = sub.add_parser("selftest", parents=[common], help="run the built-in invariant suite")

@@ -1,4 +1,4 @@
-"""Exact number types and small exact linear algebra.
+"""Exact number types and a small exact matrix.
 
 Everything downstream computes over plain rationals (``fractions.Fraction``,
 aliased ``Rat``) and rationals extended by ``+inf`` (``ExtRat``, ordered
@@ -142,9 +142,12 @@ class QuadRat:
 
     A plain value: it is constructed, compared for equality and formatted, and
     carries no arithmetic or ordering. radicand >= 0; a perfect-square radicand
-    normalizes to b = 0, and b = 0 normalizes radicand to 0. Equality compares
-    the parts, and radicands are not reduced, so sqrt(2) and (1/2)*sqrt(8)
-    differ. It equals an int or Fraction exactly when it is rational.
+    normalizes to b = 0, and b = 0 normalizes radicand to 0. Radicands are not
+    reduced, so sqrt(2) and (1/2)*sqrt(8) keep different parts and print
+    differently, but equality and hashing compare values: with non-square
+    radicands, a + b*sqrt(D) = a' + b'*sqrt(D') iff a = a' and
+    b*|b|*D = b'*|b'|*D'. It equals an int or Fraction exactly when it is
+    rational.
     """
 
     __slots__ = ("a", "b", "radicand")
@@ -177,15 +180,19 @@ class QuadRat:
             raise ValueError("irrational QuadRat has no rational value")
         return self.a
 
+    def _key(self) -> tuple[Rat, Rat]:
+        return self.a, self.b * abs(self.b) * self.radicand
+
     def __eq__(self, other):
         if isinstance(other, QuadRat):
-            return (self.a, self.b, self.radicand) == (other.a, other.b, other.radicand)
+            return self._key() == other._key()
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.radicand))
+        # a rational value equals its Fraction, so it hashes as one
+        return hash(self.a) if self.b == 0 else hash(self._key())
 
     def __repr__(self):
         return f"QuadRat({self.a!r}, {self.b!r}, {self.radicand!r})"
@@ -203,13 +210,7 @@ def format_quadrat(x: QuadRat) -> str:
 
 
 class RatMatrix:
-    """Dense exact rational matrix with elimination-based queries.
-
-    Determinants and leading principal minors use Bareiss one-step
-    fraction-free elimination (all divisions exact); kernels come from the
-    reduced row echelon form, so output bases are canonical and
-    deterministic.
-    """
+    """Dense immutable exact rational matrix: the Gram matrix of a `QForm6`."""
 
     __slots__ = ("_e",)
 
@@ -240,9 +241,6 @@ class RatMatrix:
     def row(self, i: int) -> tuple[Rat, ...]:
         return self._e[i]
 
-    def entries(self) -> tuple[tuple[Rat, ...], ...]:
-        return self._e
-
     def __eq__(self, other):
         return isinstance(other, RatMatrix) and self._e == other._e
 
@@ -253,22 +251,8 @@ class RatMatrix:
         body = "; ".join(" ".join(str(x) for x in r) for r in self._e)
         return f"RatMatrix[{body}]"
 
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        )
-
     def transpose(self) -> "RatMatrix":
         return RatMatrix(list(zip(*self._e)))
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = other.transpose()._e
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(r, c)) for c in ot] for r in self._e]
-        )
 
     def scale(self, k: Rat | int) -> "RatMatrix":
         k = as_rat(k)
@@ -286,78 +270,3 @@ class RatMatrix:
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self == self.transpose()
-
-    def det(self) -> Rat:
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        a = [list(r) for r in self._e]
-        sign = 1
-        prev = Fraction(1)
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-                a[i][k] = Fraction(0)
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
-    def leading_principal_minors(self) -> list[Rat]:
-        if self.rows != self.cols:
-            raise ValueError("principal minors of non-square matrix")
-        return [
-            RatMatrix([r[: k + 1] for r in self._e[: k + 1]]).det()
-            for k in range(self.rows)
-        ]
-
-    def _rref(self) -> tuple[list[list[Rat]], list[int]]:
-        a = [list(r) for r in self._e]
-        pivots: list[int] = []
-        pr = 0
-        for pc in range(self.cols):
-            piv = next((i for i in range(pr, self.rows) if a[i][pc] != 0), None)
-            if piv is None:
-                continue
-            a[pr], a[piv] = a[piv], a[pr]
-            inv = 1 / a[pr][pc]
-            a[pr] = [x * inv for x in a[pr]]
-            for i in range(self.rows):
-                if i != pr and a[i][pc] != 0:
-                    f = a[i][pc]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == self.rows:
-                break
-        return a, pivots
-
-    def rank(self) -> int:
-        return len(self._rref()[1])
-
-    def kernel_basis(self) -> list[tuple[Rat, ...]]:
-        """Canonical basis of the right kernel (one vector per free column)."""
-        a, pivots = self._rref()
-        free = [j for j in range(self.cols) if j not in pivots]
-        basis = []
-        for j in free:
-            v = [Fraction(0)] * self.cols
-            v[j] = Fraction(1)
-            for i, pc in enumerate(pivots):
-                v[pc] = -a[i][j]
-            basis.append(tuple(v))
-        return basis
-
-
-def is_positive_definite(m: RatMatrix) -> bool:
-    """Sylvester criterion by exact leading principal minors."""
-    if not m.is_symmetric():
-        raise ValueError("definiteness test requires a symmetric matrix")
-    return all(minor > 0 for minor in m.leading_principal_minors())

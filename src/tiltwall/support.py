@@ -5,10 +5,10 @@ The candidate quadratic forms are the two-parameter family
     Q = mu * Q_weak(alpha^2, beta) + lambda * Q_disc
 
 where Q_weak polarizes the weak inequality defect b*c - a*d and Q_disc the
-first discriminant. A witness must be negative definite on ker Z (exact
-Sylvester minors on the restricted Gram matrix) and nonnegative on the
-equality-case fixture classes. Failure to find a witness in a finite grid is
-reported as inconclusive, never as a refutation.
+first discriminant. A witness would have to be negative definite on ker Z
+and nonnegative on the equality-case classes. The certificate lemma below
+rules out every member of the family for every charge, so nothing searches
+it: `null_kernel_vector` checks the lemma's vector exactly and returns it.
 
 Nothing here expands the twist again. Z is linear in ch, so the i-th
 coefficient of Re Z and Im Z is `central_charge(e_i)` on the unit character
@@ -21,7 +21,7 @@ Certificate lemma: if a nonzero v in ker Z is isotropic for every generator
 of the family, then every combination Q of them has Q(v) = 0, so none is
 negative definite on ker Z. For every charge, v = (0, 0, 1, 0, beta,
 (alpha^2 + beta^2)/2) lies in ker Z and Q_weak(v) = Q_disc(v) = 0, so the
-whole family is ruled out before any grid cell is tested.
+whole family is ruled out.
 """
 
 from __future__ import annotations
@@ -31,17 +31,11 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .chern import TiltPoint
-from .exactnum import Rat, RatMatrix, as_rat, is_positive_definite
-from .geometry import (
-    CharVector,
-    RuledThreefold,
-    fiber_pushforward_char,
-    line_bundle_char,
-)
+from .exactnum import Rat, RatMatrix, as_rat
+from .geometry import CharVector, RuledThreefold
 from .inequalities import bg_weak_defect, disc_bar
 from .stability import ChargeParams, central_charge
 
-_COORDS = ("r", "cHF", "cHH", "dF", "dH", "e")
 _UNITS = tuple(CharVector(*[int(i == j) for j in range(6)]) for i in range(6))
 _PAIR_SUMS = tuple(
     (i, j, _UNITS[i] + _UNITS[j]) for i in range(6) for j in range(i + 1, 6)
@@ -69,20 +63,6 @@ class QForm6:
     def value_char(self, ch: CharVector) -> Rat:
         return self.value(ch.as_tuple())
 
-    def add(self, other: "QForm6") -> "QForm6":
-        return QForm6(self.matrix.add(other.matrix))
-
-    def scale(self, k: Rat | int) -> "QForm6":
-        return QForm6(self.matrix.scale(k))
-
-    def upper_entries(self) -> list[tuple[str, str, Rat]]:
-        """The 21 independent entries, row-major upper triangle."""
-        return [
-            (_COORDS[i], _COORDS[j], self.matrix[i, j])
-            for i in range(6)
-            for j in range(i, 6)
-        ]
-
 
 @dataclass(frozen=True)
 class ChargeFunctionals:
@@ -90,9 +70,6 @@ class ChargeFunctionals:
 
     re_coeffs: tuple[Rat, ...]
     im_coeffs: tuple[Rat, ...]
-
-    def matrix(self) -> RatMatrix:
-        return RatMatrix([self.re_coeffs, self.im_coeffs])
 
     def evaluate(self, v: Sequence[Rat | int]) -> tuple[Rat, Rat]:
         vv = [as_rat(x) for x in v]
@@ -128,31 +105,7 @@ def disc_bar_form() -> QForm6:
     return _polarize(disc_bar)
 
 
-def is_negative_definite_on(Q: QForm6, basis: Sequence[Sequence[Rat | int]]) -> bool:
-    """Restrict to the span of `basis` and test definiteness of the negation."""
-    if not basis:
-        raise ValueError("empty basis")
-    b = RatMatrix(basis).transpose()
-    if b.rows != 6:
-        raise ValueError("basis vectors must have 6 coordinates")
-    if b.rank() != b.cols:
-        raise ValueError("basis vectors must be linearly independent")
-    gram = b.transpose() @ Q.matrix @ b
-    return is_positive_definite(gram.scale(-1))
-
-
-def equality_case_fixtures(X: RuledThreefold) -> list[CharVector]:
-    """Classes carrying semistable objects with vanishing discriminant:
-    line bundles and their fiber pushforwards."""
-    fixtures = []
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            lb = line_bundle_char(a, b, X)
-            fixtures.append(lb)
-            fixtures.append(fiber_pushforward_char(1, lb))
-    return fixtures
-
-
+# Never built; bench/ reads it and calls verify_support positionally. ROADMAP item 1 removes both.
 @dataclass(frozen=True)
 class SupportWitness:
     lam: Rat
@@ -161,23 +114,24 @@ class SupportWitness:
 
 
 def family_forms(p: ChargeParams, X: RuledThreefold) -> tuple[QForm6, QForm6]:
-    """The generators (Q_weak, Q_disc) of the family `verify_support` searches."""
+    """The generators (Q_weak, Q_disc) of the family `verify_support` rules out."""
     return bg_quadratic_form(p.tilt_point(), X), disc_bar_form()
 
 
-def null_kernel_vector(
-    fun: ChargeFunctionals, p: ChargeParams, forms: Sequence[QForm6]
-) -> tuple[Rat, ...] | None:
-    """v = (0, 0, 1, 0, beta, (alpha^2 + beta^2)/2) if Z(v) = 0 and q(v) = 0
-    for every q in `forms`, else None.
+def null_kernel_vector(p: ChargeParams, X: RuledThreefold) -> tuple[Rat, ...]:
+    """v = (0, 0, 1, 0, beta, (alpha^2 + beta^2)/2), checked exactly to lie in
+    ker Z and to be isotropic for both generators of `family_forms`.
 
-    Such a v certifies that no combination of `forms` is negative definite
-    on ker Z. Both conditions are checked exactly, not assumed.
+    By the certificate lemma, v proves that no mu*Q_weak + lambda*Q_disc is
+    negative definite on ker Z. The lemma holds for every charge, so a failed
+    check is a fault in the forms or in Z, and raises ArithmeticError.
     """
     b = p.beta
     v = (Fraction(0), Fraction(0), Fraction(1), Fraction(0), b, (p.alpha2 + b * b) / 2)
+    fun = charge_functionals(p, X)
+    forms = family_forms(p, X)
     if fun.evaluate(v) != (0, 0) or any(q.value(v) != 0 for q in forms):
-        return None
+        raise ArithmeticError(f"the null-line certificate fails at v = {v}")
     return v
 
 
@@ -186,17 +140,12 @@ def verify_support(
     X: RuledThreefold,
     lambda_candidates: Sequence[Rat | int],
     mu_candidates: Sequence[Rat | int],
-) -> SupportWitness | None:
-    """Grid-search mu*Q_weak + lambda*Q_disc for a support-property witness.
+) -> None:
+    """Look for a support-property witness mu*Q_weak + lambda*Q_disc among
+    the candidates; there is none, for any charge.
 
-    Returns the first witness in grid order (lambda outer, mu inner), or None.
-    None is inconclusive: the family may simply miss every witness.
-
-    Before the grid, `null_kernel_vector` looks for a kernel vector isotropic
-    for both generators. By the certificate lemma in the module docstring
-    such a vector rules out every cell, so None is returned without a
-    Sylvester test. The vector exists for every charge, so the grid only
-    runs for a family the certificate does not cover.
+    The candidates are validated, then `null_kernel_vector` proves that no
+    member of the family is a witness. The answer None means "no witness".
     """
     lams = [as_rat(x) for x in lambda_candidates]
     mus = [as_rat(x) for x in mu_candidates]
@@ -204,20 +153,4 @@ def verify_support(
         raise ValueError("lambda candidates must be nonnegative")
     if any(x <= 0 for x in mus):
         raise ValueError("mu candidates must be positive")
-    fun = charge_functionals(p, X)
-    q_weak, q_disc = family_forms(p, X)
-    if null_kernel_vector(fun, p, [q_weak, q_disc]) is not None:
-        return None
-    # The (dH, e) minor of Z is -1 for every input, so ker Z has dimension 4.
-    kernel = fun.matrix().kernel_basis()
-    fixtures = equality_case_fixtures(X)
-
-    for lam in lams:
-        for mu in mus:
-            q = q_weak.scale(mu).add(q_disc.scale(lam))
-            if not is_negative_definite_on(q, kernel):
-                continue
-            if any(q.value_char(ch) < 0 for ch in fixtures):
-                continue
-            return SupportWitness(lam, mu, q)
-    return None
+    null_kernel_vector(p, X)

@@ -151,6 +151,14 @@ class TestBetaBar:
         assert not bb.is_rational and bb.radicand == 2
         assert f_ch2_twisted(ch, bb) == QuadRat(0)
 
+    def test_unreduced_radicand_equals_reduced(self):
+        # both are -sqrt(2); the first keeps the parts -1/2 and 8
+        doubled = beta_bar(CharVector(2, 0, 0, -2, 0, 0))
+        single = beta_bar(CharVector(1, 0, 0, -1, 0, 0))
+        assert (doubled.b, doubled.radicand) == (Fraction(-1, 2), 8)
+        assert doubled == single and hash(doubled) == hash(single)
+        assert doubled != beta_bar(CharVector(1, 0, 0, -1, 0, 0), other_root=True)
+
     def test_both_roots_annihilate(self, rng):
         count = 0
         while count < 60:

@@ -3,15 +3,18 @@
 Every `tiltwall ...` line of README.md (with `\\` continuations joined) that
 is followed by `# ...` output lines is run through `cli.run`, and its stdout
 is compared with those lines. Lines marked `# (stderr)` describe stderr and
-are not compared.
+are not compared. Every `--name` the README mentions must be an option of
+some subcommand.
 """
 
+import argparse
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from tiltwall.cli import run
+from tiltwall.cli import build_parser, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -50,3 +53,24 @@ def test_examples_found():
 def test_example_stdout(cmd, stdout, capsys):
     run(shlex.split(cmd, comments=True)[1:])
     assert capsys.readouterr().out == stdout
+
+
+def test_readme_names_only_real_flags():
+    # every --name in the README is an option of some subcommand, so a
+    # deleted flag cannot linger in the docs; `pip` lines and the `--flag`
+    # placeholder are not tiltwall options
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        opt for sub in subparsers.choices.values() for a in sub._actions for opt in a.option_strings
+    }
+    lines = README.read_text(encoding="utf-8").splitlines()
+    named = {
+        flag
+        for line in lines
+        if not line.startswith("pip ")
+        for flag in re.findall(r"--[a-z][a-z0-9-]*", line)
+    }
+    unknown = named - options - {"--flag"}
+    assert not unknown, sorted(unknown)

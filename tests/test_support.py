@@ -19,9 +19,6 @@ from tiltwall import (
     charge_functionals,
     disc_bar,
     disc_bar_form,
-    equality_case_fixtures,
-    family_forms,
-    is_negative_definite_on,
     line_bundle_char,
     liu_abcd,
     null_kernel_vector,
@@ -40,6 +37,7 @@ from conftest import (
 from test_scaled_kernels import ODD_CHARGE, ODD_POINT, same_rats
 
 BASIS = [CharVector(*[int(i == j) for j in range(6)]) for i in range(6)]
+MINUS_IDENTITY = QForm6(RatMatrix([[-int(i == j) for j in range(6)] for i in range(6)]))
 
 
 def _params(rng):
@@ -99,17 +97,6 @@ class TestChargeFunctionals:
 
 
 class TestKernel:
-    def test_generic_kernel_dimension_four(self, rng):
-        for _ in range(25):
-            X = rand_threefold(rng)
-            p = _params(rng)
-            m = charge_functionals(p, X).matrix()
-            assert m.rank() == 2
-            basis = m.kernel_basis()
-            assert len(basis) == 4
-            for v in basis:
-                assert [sum(a * x for a, x in zip(m.row(i), v)) for i in range(2)] == [0, 0]
-
     def test_dh_e_minor_is_minus_one(self, rng):
         # the reason Z always has rank 2 and ker Z dimension 4
         for _ in range(50):
@@ -190,74 +177,6 @@ class TestAgainstHandExpandedFormulas:
         assert same_form(disc_bar_form(), ref.disc_bar_form())
 
 
-NEG_DEFINITE_FIXTURES = [
-    (RatMatrix([[-1, 0], [0, -1]]), [(1, 0), (0, 1)], True),
-    (RatMatrix([[-2, 1], [1, -2]]), [(1, 0), (0, 1)], True),
-    (RatMatrix([[-1, 0], [0, 1]]), [(1, 0), (0, 1)], False),
-    (RatMatrix([[1, 0], [0, 1]]), [(1, 0), (0, 1)], False),
-    (RatMatrix([[0, 0], [0, -1]]), [(1, 0), (0, 1)], False),
-    (RatMatrix([[-1, 2], [2, -1]]), [(1, 0), (0, 1)], False),
-    (RatMatrix([[-5, 0], [0, -1]]), [(1, 1)], True),
-    (RatMatrix([[0, 1], [1, 0]]), [(1, -1)], True),
-    (RatMatrix([[0, 1], [1, 0]]), [(1, 1)], False),
-    (RatMatrix([[0, 1], [1, 0]]), [(1, 0)], False),
-]
-
-
-class TestNegativeDefiniteOn:
-    def _embed(self, m2: RatMatrix) -> RatMatrix:
-        rows = [[Fraction(0)] * 6 for _ in range(6)]
-        for i in range(2):
-            for j in range(2):
-                rows[i][j] = m2[i, j]
-        rows[2][2] = rows[3][3] = rows[4][4] = rows[5][5] = Fraction(-1)
-        return RatMatrix(rows)
-
-    def _embed_basis(self, basis):
-        return [tuple(v) + (0, 0, 0, 0) for v in basis]
-
-    @pytest.mark.parametrize("m2,basis,expect", NEG_DEFINITE_FIXTURES)
-    def test_two_dim_fixtures(self, m2, basis, expect):
-        q = QForm6(self._embed(m2))
-        assert is_negative_definite_on(q, self._embed_basis(basis)) is expect
-
-    def test_negated_identity_form(self):
-        q = QForm6(RatMatrix.identity(6).scale(-1))
-        assert is_negative_definite_on(q, [tuple(v.as_tuple()) for v in BASIS])
-
-    def test_disc_form_not_negative_on_line_bundle_direction(self):
-        X = RuledThreefold(1, 2)
-        lb = line_bundle_char(1, 0, X)
-        assert not is_negative_definite_on(disc_bar_form(), [lb.as_tuple()])
-
-    def test_one_dimensional_iff_negative_value(self, rng):
-        q = disc_bar_form()
-        seen = 0
-        while seen < 40:
-            ch = rand_lattice_char(rng)
-            if all(x == 0 for x in ch.as_tuple()):
-                continue
-            seen += 1
-            assert is_negative_definite_on(q, [ch.as_tuple()]) is (q.value_char(ch) < 0)
-
-    def test_rejects_dependent_basis(self):
-        q = QForm6(RatMatrix.identity(6).scale(-1))
-        v = (1, 0, 0, 0, 0, 0)
-        w = (2, 0, 0, 0, 0, 0)
-        with pytest.raises(ValueError, match="independent"):
-            is_negative_definite_on(q, [v, w])
-
-    def test_rejects_float_basis(self):
-        q = QForm6(RatMatrix.identity(6).scale(-1))
-        with pytest.raises(TypeError, match="float"):
-            is_negative_definite_on(q, [(0.5, 0, 0, 0, 0, 0)])
-
-    def test_rejects_empty_basis(self):
-        q = QForm6(RatMatrix.identity(6).scale(-1))
-        with pytest.raises(ValueError):
-            is_negative_definite_on(q, [])
-
-
 class TestVerifySupport:
     def _null_line_vector(self, p: ChargeParams) -> CharVector:
         return CharVector(
@@ -266,7 +185,7 @@ class TestVerifySupport:
 
     def test_family_vanishes_on_a_kernel_line(self, rng):
         # the structural obstruction: a kernel line on which both base forms
-        # vanish, so no grid combination can be negative definite
+        # vanish, so no combination can be negative definite
         for _ in range(25):
             X = rand_threefold(rng)
             p = _params(rng)
@@ -275,7 +194,7 @@ class TestVerifySupport:
             assert fun.evaluate(v.as_tuple()) == (0, 0)
             assert disc_bar_form().value_char(v) == 0
             assert bg_quadratic_form(TiltPoint(p.alpha2, p.beta), X).value_char(v) == 0
-            assert null_kernel_vector(fun, p, family_forms(p, X)) == v.as_tuple()
+            assert null_kernel_vector(p, X) == v.as_tuple()
 
     def test_search_reports_inconclusive(self):
         X = RuledThreefold(0, 3)
@@ -284,51 +203,25 @@ class TestVerifySupport:
         mus = [Fraction(k, 4) for k in range(1, 9)]
         assert verify_support(p, X, grid, mus) is None
 
-    def test_grid_not_run_when_certificate_holds(self, rng, monkeypatch):
-        def no_grid(q, basis):
-            raise AssertionError("grid cell tested despite a null kernel vector")
-
-        monkeypatch.setattr(support, "is_negative_definite_on", no_grid)
-        lams = [Fraction(k, 4) for k in range(9)]
-        mus = [Fraction(k, 4) for k in range(1, 9)]
-        for _ in range(25):
-            assert verify_support(_params(rng), rand_threefold(rng), lams, mus) is None
-
-    def test_certificate_declines(self, rng):
+    def test_certificate_declines(self, rng, monkeypatch):
         X = rand_threefold(rng)
         p = _params(rng)
         fun = charge_functionals(p, X)
         # -I is negative on every nonzero v
-        minus_identity = QForm6(RatMatrix.identity(6).scale(-1))
-        assert null_kernel_vector(fun, p, [disc_bar_form(), minus_identity]) is None
+        monkeypatch.setattr(support, "family_forms", lambda p, X: (disc_bar_form(), MINUS_IDENTITY))
+        with pytest.raises(ArithmeticError, match="certificate"):
+            null_kernel_vector(p, X)
+        monkeypatch.undo()
         # v is not in the kernel of a charge with Re Z = e
         e_only = ChargeFunctionals((0, 0, 0, 0, 0, 1), fun.im_coeffs)
-        assert null_kernel_vector(e_only, p, family_forms(p, X)) is None
+        monkeypatch.setattr(support, "charge_functionals", lambda p, X: e_only)
+        with pytest.raises(ArithmeticError, match="certificate"):
+            null_kernel_vector(p, X)
 
-    def test_grid_witness_reverified_when_certificate_declines(self, rng, monkeypatch):
-        # Adding Q_fib = dH^2 - 2 cHH e to Q_weak breaks the null line
-        # (Q_fib(v) = -alpha^2), and 15/4 Q_weak + 1/4 Q_fib + 1/4 Q_disc is
-        # a witness here: the grid path must find it and it must re-verify.
-        X = RuledThreefold(0, 3)
-        p = ChargeParams(1, 0, 1, 1)
-        rows = [[Fraction(0)] * 6 for _ in range(6)]
-        rows[4][4] = Fraction(1)
-        rows[2][5] = rows[5][2] = Fraction(-1)
-        q_fib = QForm6(RatMatrix(rows))
-        q_weak, q_disc = family_forms(p, X)
-        forms = (q_weak.add(q_fib.scale(Fraction(1, 15))), q_disc)
-        monkeypatch.setattr(support, "family_forms", lambda p, X: forms)
-        witness = verify_support(p, X, [Fraction(1, 4)], [Fraction(15, 4)])
-        assert witness is not None
-        basis = charge_functionals(p, X).matrix().kernel_basis()
-        for _ in range(200):
-            coeffs = [rng.randint(-5, 5) for _ in basis]
-            if all(c == 0 for c in coeffs):
-                continue
-            v = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(6)]
-            assert witness.form.value(v) < 0
-        for ch in equality_case_fixtures(X):
-            assert witness.form.value_char(ch) >= 0
+    def test_failed_certificate_raises_through_verify_support(self, monkeypatch):
+        monkeypatch.setattr(support, "family_forms", lambda p, X: (disc_bar_form(), MINUS_IDENTITY))
+        with pytest.raises(ArithmeticError, match="certificate"):
+            verify_support(ChargeParams(1, 0, 1, 1), RuledThreefold(0, 3), [0], [1])
 
     def test_validates_grids(self):
         X = RuledThreefold(0, 3)
@@ -345,9 +238,3 @@ class TestVerifySupport:
             verify_support(p, X, [0.1], [Fraction(1, 2)])
         with pytest.raises(TypeError, match="float"):
             verify_support(p, X, [Fraction(1, 10)], [0.5])
-
-    def test_fixture_classes_have_nonnegative_weak_defect_heritage(self, rng):
-        # the fixtures are exactly the equality cases: disc vanishes on all
-        X = rand_threefold(rng)
-        for ch in equality_case_fixtures(X):
-            assert disc_bar(ch) == 0

@@ -69,6 +69,25 @@ def test_charge_splits_through_liu_functionals():
     assert sp.simplify(im - (TW["dH"] - T * fa)) == 0
 
 
+def test_null_line_certificate_lemma():
+    # v = (0, 0, 1, 0, beta, (alpha^2 + beta^2)/2) lies in ker Z and is
+    # isotropic for Q_weak and Q_disc at every charge and threefold
+    v = {R: 0, C1: 0, C2: 1, DF: 0, DH: B, E: (A2 + B**2) / 2}
+    tw = {k: x.subs(v, simultaneous=True) for k, x in TW.items()}
+    r = 0
+    re = (S - A2 * D / 4) * tw["cHF"] - tw["e"] + A2 / 2 * tw["cHH"]
+    im = tw["dH"] + T * tw["dF"] - T * A2 / 2 * r
+    fa = -tw["dF"] + A2 / 2 * r
+    fb = -tw["e"] + A2 / 2 * tw["cHH"] - A2 * D / 4 * tw["cHF"]
+    fc = tw["cHF"]
+    fd = tw["dH"]
+    q_weak = fb * fc - fa * fd
+    q_disc = C1**2 - 2 * R * DF
+    assert sp.simplify(re) == 0 and sp.simplify(im) == 0
+    assert sp.simplify(q_weak) == 0
+    assert sp.simplify(q_disc.subs(v, simultaneous=True)) == 0
+
+
 def test_charge_functional_coefficients():
     from fractions import Fraction
 

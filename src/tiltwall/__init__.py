@@ -1,5 +1,6 @@
 """Exact-arithmetic tilt stability on ruled threefolds: lattice Chern data,
-slopes, Bogomolov-type inequality defects, walls, and support machinery."""
+slopes, Bogomolov-type inequality defects, walls, and the support-property
+certificate."""
 
 from .chern import (
     ReducedClass,
@@ -16,7 +17,6 @@ from .exactnum import (
     ExtRat,
     QuadRat,
     Rat,
-    RatMatrix,
     format_quadrat,
     format_rat,
     parse_rat,
@@ -64,16 +64,7 @@ from .stability import (
     nu_mixed,
     nu_sigma,
 )
-from .support import (
-    ChargeFunctionals,
-    QForm6,
-    bg_quadratic_form,
-    charge_functionals,
-    disc_bar_form,
-    family_forms,
-    null_kernel_vector,
-    verify_support,
-)
+from .support import null_kernel_vector, verify_support
 from .walls import (
     EVERYWHERE,
     SemicircleWall,

@@ -356,7 +356,7 @@ def _cmd_support(args) -> int:
         reason = {"kind": "null_kernel_vector", "vector": vector, "vanishing": ["Q_weak", "Q_disc"]}
         print(json.dumps({"witness": None, "reason": reason}))
     else:
-        print("no witness in grid")
+        print("no witness")
         print(
             f"note: Q_weak and Q_disc both vanish on v = ({','.join(vector)}) in ker Z, "
             "so no mu*Q_weak + lambda*Q_disc is negative definite on ker Z",
@@ -467,16 +467,24 @@ def emit_svg(walls: list[Wall], query: TiltPoint | None, path: str) -> None:
 # -------------------------------------------------------------------- parser
 
 
+def _common_flags(format_default: str) -> argparse.ArgumentParser:
+    """The flags every subcommand shares. Subparsers share their parent's action
+    objects, so `set_defaults(format=...)` on one would change every
+    subcommand's default: `wall` gets a parent of its own instead."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key = value file supplying default flags")
+    common.add_argument("--format", choices=("text", "json"), default=format_default)
+    common.add_argument("--approx", action="store_true", help="add decimal approximations")
+    common.add_argument("--genus", type=int, default=None)
+    common.add_argument("--degree", type=int, default=None)
+    return common
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tiltwall", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value file supplying default flags")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--approx", action="store_true", help="add decimal approximations")
-    common.add_argument("--genus", type=int, default=None)
-    common.add_argument("--degree", type=int, default=None)
+    common = _common_flags("text")
 
     p = sub.add_parser("chern", parents=[common], help="character transforms and invariants")
     p.add_argument("--char", type=_char, default=None)
@@ -508,10 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1, help="fiber multiplicity for fiber-bog")
     p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("wall", parents=[common], help="numerical wall of two reduced classes")
+    p = sub.add_parser(
+        "wall", parents=[_common_flags("json")], help="numerical wall of two reduced classes"
+    )
     p.add_argument("--u", type=_reduced, required=True)
     p.add_argument("--w", type=_reduced, required=True)
-    p.set_defaults(handler=_cmd_wall, format_default="json")
+    p.set_defaults(handler=_cmd_wall)
 
     p = sub.add_parser("walls", parents=[common], help="enumerate destabilizer walls")
     p.add_argument("--u", type=_reduced, required=True)
@@ -550,8 +560,6 @@ def run(argv: list[str]) -> int:
     except (CLIInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "format_default", None) and "--format" not in " ".join(argv):
-        args.format = args.format_default
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

@@ -1,4 +1,4 @@
-"""Exact number types and a small exact matrix.
+"""Exact number types.
 
 Everything downstream computes over plain rationals (``fractions.Fraction``,
 aliased ``Rat``) and rationals extended by ``+inf`` (``ExtRat``, ordered
@@ -15,7 +15,6 @@ import math
 import re
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable
 
 Rat = Fraction
 
@@ -207,66 +206,3 @@ def format_quadrat(x: QuadRat) -> str:
         return format_rat(x.a)
     sign = "+" if x.b > 0 else "-"
     return f"{format_rat(x.a)} {sign} {format_rat(abs(x.b))}*sqrt({format_rat(x.radicand)})"
-
-
-class RatMatrix:
-    """Dense immutable exact rational matrix: the Gram matrix of a `QForm6`."""
-
-    __slots__ = ("_e",)
-
-    def __init__(self, entries: Iterable[Iterable[Rat | int]]):
-        rows = tuple(tuple(as_rat(x) for x in row) for row in entries)
-        if not rows or not rows[0]:
-            raise ValueError("matrix needs positive dimensions")
-        w = len(rows[0])
-        if any(len(r) != w for r in rows):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "_e", rows)
-
-    def __setattr__(self, *_):
-        raise AttributeError("RatMatrix is immutable")
-
-    @property
-    def rows(self) -> int:
-        return len(self._e)
-
-    @property
-    def cols(self) -> int:
-        return len(self._e[0])
-
-    def __getitem__(self, ij: tuple[int, int]) -> Rat:
-        i, j = ij
-        return self._e[i][j]
-
-    def row(self, i: int) -> tuple[Rat, ...]:
-        return self._e[i]
-
-    def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self._e == other._e
-
-    def __hash__(self):
-        return hash(self._e)
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in r) for r in self._e)
-        return f"RatMatrix[{body}]"
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(list(zip(*self._e)))
-
-    def scale(self, k: Rat | int) -> "RatMatrix":
-        k = as_rat(k)
-        return RatMatrix([[k * x for x in r] for r in self._e])
-
-    def add(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return RatMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._e, other._e)
-            ]
-        )
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self == self.transpose()

@@ -3,10 +3,10 @@ kept verbatim as the reference for the library's integer kernels.
 
 Each body below is the library's formula written directly in Fraction
 arithmetic. `twist` here is `reference_twist`, the rational twist formulas,
-so no reference calls an integer kernel of the library. The support
-functionals at the end are the hand-expanded untwisted coefficients of Z,
-Q_weak and Q_disc, the reference for the library's forms read off the
-kernels.
+so no reference calls an integer kernel of the library. At the end are the
+hand-expanded untwisted coefficients of Z and Gram rows of Q_weak and Q_disc,
+as plain tuples, the reference for `central_charge`, `bg_weak_defect` and
+`disc_bar`; `quad_value` evaluates a Gram at a vector.
 """
 
 from fractions import Fraction
@@ -17,14 +17,11 @@ import sympy as sp
 from tiltwall import (
     INFINITY,
     CharVector,
-    ChargeFunctionals,
     ChargeParams,
     ChargeValue,
     ExtRat,
     HeartReport,
-    QForm6,
     QuadRat,
-    RatMatrix,
     RuledThreefold,
     TiltPoint,
     euler_char_pair,
@@ -256,8 +253,9 @@ def f_ch2_twisted(ch: CharVector, b: QuadRat | Rat | int) -> tuple[Rat, Rat, Rat
     return c0, c1, Fraction(D) if c1 != 0 else Fraction(0)
 
 
-def charge_functionals(p: ChargeParams, X: RuledThreefold) -> ChargeFunctionals:
-    """Expand the twisted degrees of the charge into untwisted coordinates."""
+def charge_coefficients(p: ChargeParams, X: RuledThreefold) -> tuple[tuple[Rat, ...], tuple[Rat, ...]]:
+    """Expand the twisted degrees of the charge into untwisted coordinates:
+    the coefficient vectors of Re Z and Im Z."""
     a2, b, s, t, d = p.alpha2, p.beta, p.s, p.t, Fraction(X.degree)
     re = (
         -b * s + b**3 * d / 6 - a2 * b * d / 4,
@@ -275,7 +273,7 @@ def charge_functionals(p: ChargeParams, X: RuledThreefold) -> ChargeFunctionals:
         Fraction(1),
         Fraction(0),
     )
-    return ChargeFunctionals(re, im)
+    return re, im
 
 
 def _functional_coeffs_abcd(pt: TiltPoint, d: Fraction):
@@ -295,25 +293,30 @@ def _functional_coeffs_abcd(pt: TiltPoint, d: Fraction):
     return fa, fb, fc, fd
 
 
-def _sym_outer(x: Sequence[Fraction], y: Sequence[Fraction]) -> RatMatrix:
-    return RatMatrix(
-        [
-            [(x[i] * y[j] + x[j] * y[i]) / 2 for j in range(6)]
-            for i in range(6)
-        ]
+Gram = tuple[tuple[Rat, ...], ...]
+
+
+def _sym_outer(x: Sequence[Fraction], y: Sequence[Fraction]) -> Gram:
+    return tuple(
+        tuple((x[i] * y[j] + x[j] * y[i]) / 2 for j in range(6)) for i in range(6)
     )
 
 
-def bg_quadratic_form(pt: TiltPoint, X: RuledThreefold) -> QForm6:
-    """Polarization of b*c - a*d; evaluates to the weak inequality defect."""
+def bg_weak_gram(pt: TiltPoint, X: RuledThreefold) -> Gram:
+    """Gram rows of b*c - a*d, the weak inequality defect."""
     fa, fb, fc, fd = _functional_coeffs_abcd(pt, Fraction(X.degree))
-    m = _sym_outer(fb, fc).add(_sym_outer(fa, fd).scale(-1))
-    return QForm6(m)
+    bc, ad = _sym_outer(fb, fc), _sym_outer(fa, fd)
+    return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(bc, ad))
 
 
-def disc_bar_form() -> QForm6:
-    """Polarization of cHF^2 - 2 r dF."""
+def disc_bar_gram() -> Gram:
+    """Gram rows of cHF^2 - 2 r dF."""
     rows = [[Fraction(0)] * 6 for _ in range(6)]
     rows[1][1] = Fraction(1)
     rows[0][3] = rows[3][0] = Fraction(-1)
-    return QForm6(RatMatrix(rows))
+    return tuple(map(tuple, rows))
+
+
+def quad_value(rows: Gram, v: Sequence[Rat]) -> Rat:
+    """v^T M v for the Gram rows M."""
+    return sum(v[i] * rows[i][j] * v[j] for i in range(6) for j in range(6))

@@ -12,18 +12,17 @@ from fractions import Fraction
 from tiltwall import (
     CHAR_O,
     ChargeParams,
+    ChargeValue,
     CharVector,
     ReducedClass,
     RuledThreefold,
     TiltPoint,
     bg_main_defect,
-    bg_quadratic_form,
     bg_star_defect,
     bg_weak_defect,
     canonical_and_c2,
-    charge_functionals,
+    central_charge,
     disc_bar,
-    disc_bar_form,
     disc_tilde,
     enumerate_destabilizers,
     euler_char,
@@ -39,7 +38,7 @@ from tiltwall import (
     walls_meet,
 )
 from tiltwall.chern import disc_bar_reduced
-from reference_formulas import chi_bounds_via_rr
+from reference_formulas import bg_weak_gram, chi_bounds_via_rr, quad_value
 from tiltwall.walls import EVERYWHERE, SemicircleWall, circle_through
 from wall_oracle import covering_c_window, oracle_enumerate, result_to_set, sample_points
 
@@ -215,18 +214,21 @@ def test_criterion_7_enumeration_vs_oracle():
 def test_criterion_8_support_machinery():
     rng = random.Random(SEED + 8)
 
-    # bg_quadratic_form matches the weak defect on 1000 samples
+    # the weak defect is the hand-expanded Gram form of b*c - a*d on 1000 samples
     for _ in range(1000):
         X = _threefold(rng)
         pt = _point(rng)
         ch = _char(rng)
-        assert bg_quadratic_form(pt, X).value_char(ch) == bg_weak_defect(ch, pt, X)
+        assert quad_value(bg_weak_gram(pt, X), ch.as_tuple()) == bg_weak_defect(ch, pt, X)
 
     # the family yields no witness, and says why: an exact null kernel vector
     X = RuledThreefold(0, 3)
     p = ChargeParams(1, 0, 1, 1)
     assert verify_support(p, X, [Fraction(k, 4) for k in range(9)], [Fraction(k, 4) for k in range(1, 9)]) is None
-    assert null_kernel_vector(p, X) == (0, 0, 1, 0, 0, Fraction(1, 2))
+    v = null_kernel_vector(p, X)
+    assert v == (0, 0, 1, 0, 0, Fraction(1, 2))
+    assert central_charge(CharVector(*v), p, X) == ChargeValue(0, 0)
+    assert bg_weak_defect(CharVector(*v), p.tilt_point(), X) == disc_bar(CharVector(*v)) == 0
     print("ACCEPTANCE 8: PASS - weak-form identity, no witness in the family, with its null vector")
 
 
@@ -244,9 +246,8 @@ def test_criterion_9_support_search_outcome_is_stable():
     mu_grid = [Fraction(k, 4) for k in range(1, 9)]
     for p, X in param_sets:
         null_vector = CharVector(0, 0, 1, 0, p.beta, (p.alpha2 + p.beta**2) / 2)
-        fun = charge_functionals(p, X)
-        assert fun.evaluate(null_vector.as_tuple()) == (0, 0)
-        assert disc_bar_form().value_char(null_vector) == 0
-        assert bg_quadratic_form(p.tilt_point(), X).value_char(null_vector) == 0
+        assert central_charge(null_vector, p, X) == ChargeValue(0, 0)
+        assert disc_bar(null_vector) == 0
+        assert bg_weak_defect(null_vector, p.tilt_point(), X) == 0
         assert verify_support(p, X, lam_grid, mu_grid) is None
     print("ACCEPTANCE 9: PASS - support search reports inconclusive (fixture: no witness in family)")

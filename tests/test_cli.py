@@ -139,9 +139,14 @@ class TestWall:
         run(["wall", "--u", "1,0,0", "--w", "1,1,0"])
         assert json.loads(out_of(capsys)[0]) == {"type": "none"}
 
-    def test_text_format(self, capsys):
-        run(["wall", "--u", "1,0,0", "--w", "0,0,1", "--format", "text"])
-        assert out_of(capsys)[0] == "vertical beta=0"
+    def test_text_format(self, tmp_path, capsys):
+        # argparse takes --form for --format, and a config line counts as a flag
+        cfg = tmp_path / "text.cfg"
+        cfg.write_text("format = text\n")
+        base = ["wall", "--u", "1,0,0", "--w", "0,0,1"]
+        for extra in (["--format", "text"], ["--format=text"], ["--form", "text"], ["--config", str(cfg)]):
+            assert run(base + extra) == 0
+            assert out_of(capsys)[0] == "vertical beta=0"
 
 
 class TestWalls:
@@ -251,7 +256,7 @@ class TestSupport:
         )
         assert code == 1
         out, err = out_of(capsys)
-        assert out == "no witness in grid"
+        assert out == "no witness"
         assert err.startswith("note: Q_weak and Q_disc both vanish on v = (0,0,1,0,-1/2,7/24) in ker Z")
 
     def test_grid_flags_exit_two(self, capsys):
@@ -269,7 +274,7 @@ class TestSupport:
         )
         assert code == 1
         assert out_of(capsys) == (
-            "no witness in grid",
+            "no witness",
             "note: Q_weak and Q_disc both vanish on v = (0,0,1,0,0,1/2) in ker Z, "
             "so no mu*Q_weak + lambda*Q_disc is negative definite on ker Z",
         )

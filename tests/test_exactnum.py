@@ -9,7 +9,6 @@ from tiltwall.exactnum import (
     INFINITY,
     ExtRat,
     QuadRat,
-    RatMatrix,
     as_rat,
     ceil_sqrt,
     format_quadrat,
@@ -168,23 +167,3 @@ class TestExtRat:
             for op in ops[2:]:
                 with pytest.raises(TypeError):
                     op(a, b)
-
-
-class TestRatMatrix:
-    def test_float_rejected(self):
-        with pytest.raises(TypeError, match="float"):
-            RatMatrix([[0.5]])
-        m = RatMatrix([[1, 0], [0, 1]])
-        with pytest.raises(TypeError, match="float"):
-            m.scale(0.5)
-
-    def test_transpose(self):
-        a = RatMatrix([[1, 2], [3, 4]])
-        assert a.transpose() == RatMatrix([[1, 3], [2, 4]])
-        assert a.transpose().transpose() == a
-        assert not a.is_symmetric() and a.add(a.transpose()).is_symmetric()
-
-    def test_immutability(self):
-        m = RatMatrix([[1, 0], [0, 1]])
-        with pytest.raises(AttributeError):
-            m._e = None

@@ -4,7 +4,8 @@ Every `tiltwall ...` line of README.md (with `\\` continuations joined) that
 is followed by `# ...` output lines is run through `cli.run`, and its stdout
 is compared with those lines. Lines marked `# (stderr)` describe stderr and
 are not compared. Every `--name` the README mentions must be an option of
-some subcommand.
+some subcommand, and every backticked CamelCase name an attribute of
+`tiltwall`.
 """
 
 import argparse
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import tiltwall
 from tiltwall.cli import build_parser, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -73,4 +75,22 @@ def test_readme_names_only_real_flags():
         for flag in re.findall(r"--[a-z][a-z0-9-]*", line)
     }
     unknown = named - options - {"--flag"}
+    assert not unknown, sorted(unknown)
+
+
+def test_readme_names_only_real_api():
+    # every backticked CamelCase name, with any `.attr` suffix, resolves in
+    # tiltwall, so a deleted class or method cannot linger in the docs
+    text = README.read_text(encoding="utf-8")
+    named = set(re.findall(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*(?:\.[A-Za-z_]\w*)*)`", text))
+
+    def resolves(dotted: str) -> bool:
+        obj = tiltwall
+        for name in dotted.split("."):
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+
+    unknown = {n for n in named if n.split(".")[0] not in ("Fraction", "TypeError") and not resolves(n)}
     assert not unknown, sorted(unknown)

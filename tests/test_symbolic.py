@@ -91,19 +91,21 @@ def test_null_line_certificate_lemma():
 def test_charge_functional_coefficients():
     from fractions import Fraction
 
-    from tiltwall import ChargeParams, RuledThreefold, charge_functionals
+    from tiltwall import ChargeParams, CharVector, RuledThreefold, central_charge
 
     re = (S - A2 * D / 4) * TW["cHF"] - TW["e"] + A2 / 2 * TW["cHH"]
     im = TW["dH"] + T * TW["dF"] - T * A2 / 2 * R
     coords = (R, C1, C2, DF, DH, E)
     subs = {A2: sp.Rational(3, 2), B: sp.Rational(-1, 3), S: 2, T: sp.Rational(1, 2), D: 5}
     p = ChargeParams(Fraction(3, 2), Fraction(-1, 3), 2, Fraction(1, 2))
-    fun = charge_functionals(p, RuledThreefold(1, 5))
+    X = RuledThreefold(1, 5)
     for k, x in enumerate(coords):
+        # Z is linear, so its k-th coefficient is Z on the k-th unit character
+        z = central_charge(CharVector(*[int(i == k) for i in range(6)]), p, X)
         re_coeff = sp.simplify(sp.expand(re).coeff(x, 1).subs(subs))
         im_coeff = sp.simplify(sp.expand(im).coeff(x, 1).subs(subs))
-        assert sp.Rational(fun.re_coeffs[k]) == re_coeff
-        assert sp.Rational(fun.im_coeffs[k]) == im_coeff
+        assert sp.Rational(z.re) == re_coeff
+        assert sp.Rational(z.im) == im_coeff
 
 
 def test_chi_functionals_from_riemann_roch():

@@ -57,7 +57,6 @@ from .stability import (
     HeartReport,
     central_charge,
     heart_sign_constraints,
-    in_positive_cone,
     mu_C,
     mu_HF,
     nu,
@@ -70,11 +69,9 @@ from .walls import (
     SemicircleWall,
     VerticalWall,
     Wall,
-    circle_through,
     enumerate_destabilizers,
     largest_wall,
     numerical_wall,
-    wall_contains,
     walls_meet,
 )
 

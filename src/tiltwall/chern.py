@@ -6,13 +6,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QuadRat, Rat, as_rat, format_rat, parse_rat, rat_fields
+from .exactnum import QuadRat, Rat, as_rat, format_rat, lattice_error, parse_rat, rat_fields
 from .geometry import CharVector, RuledThreefold, line_bundle_char, tensor_product_char
 
 
 @dataclass(frozen=True)
 class ReducedClass:
     """Image (ch0, HF.ch1, F.ch2) of a character; tilt slopes factor through it."""
+
+    LATTICE = (("r", 1), ("c", 1), ("d", 2))
 
     r: Rat
     c: Rat
@@ -25,11 +27,7 @@ class ReducedClass:
         return (self.r, self.c, self.dd)
 
     def is_lattice(self) -> bool:
-        return (
-            self.r.denominator == 1
-            and self.c.denominator == 1
-            and (2 * self.dd).denominator == 1
-        )
+        return lattice_error(self) is None
 
     def __add__(self, other: "ReducedClass") -> "ReducedClass":
         return ReducedClass(self.r + other.r, self.c + other.c, self.dd + other.dd)
@@ -39,13 +37,6 @@ class ReducedClass:
 
     def __neg__(self) -> "ReducedClass":
         return ReducedClass(-self.r, -self.c, -self.dd)
-
-    def is_zero(self) -> bool:
-        return self.r == 0 and self.c == 0 and self.dd == 0
-
-    def lift(self) -> CharVector:
-        """A character with this reduction and zeros elsewhere."""
-        return CharVector(self.r, self.c, 0, self.dd, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -70,17 +61,6 @@ def parse_reduced(text: str) -> ReducedClass:
 
 def format_reduced(u: ReducedClass) -> str:
     return ",".join(format_rat(x) for x in u.as_tuple())
-
-
-def validate_lattice_reduced(u: ReducedClass) -> ReducedClass:
-    for name, value, mult, kind in [
-        ("r", u.r, 1, "an integer"),
-        ("c", u.c, 1, "an integer"),
-        ("d", u.dd, 2, "a half-integer"),
-    ]:
-        if (mult * value).denominator != 1:
-            raise ValueError(f"entry {name} = {value} must be {kind}")
-    return u
 
 
 def _twist_scaled(ch: CharVector, beta: Rat | int, d: int) -> tuple[int, list[int]]:

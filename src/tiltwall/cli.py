@@ -27,9 +27,8 @@ from .chern import (
     reduced,
     tensor_line,
     twist,
-    validate_lattice_reduced,
 )
-from .exactnum import format_quadrat, format_rat, parse_rat
+from .exactnum import format_quadrat, format_rat, lattice_error, parse_rat
 from .geometry import (
     RuledThreefold,
     dual_char,
@@ -39,7 +38,6 @@ from .geometry import (
     format_char,
     line_bundle_char,
     parse_char,
-    validate_lattice_char,
 )
 from .inequalities import (
     bg_main_defect,
@@ -81,9 +79,16 @@ def _type(parser_fn, what):
     return convert
 
 
+def _on_lattice(x):
+    error = lattice_error(x)
+    if error:
+        raise ValueError(error)
+    return x
+
+
 _rat = _type(parse_rat, "rational")
-_char = _type(lambda s: validate_lattice_char(parse_char(s)), "character")
-_reduced = _type(lambda s: validate_lattice_reduced(parse_reduced(s)), "reduced class")
+_char = _type(lambda s: _on_lattice(parse_char(s)), "character")
+_reduced = _type(lambda s: _on_lattice(parse_reduced(s)), "reduced class")
 
 
 def _pair(text):
@@ -110,13 +115,16 @@ MAX_WALL_CANDIDATES = 1_000_000
 
 
 def apply_config(argv: list[str]) -> list[str]:
-    """Splice `key = value` config entries in as flags, explicit flags win."""
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
+    """Splice a config file's `key = value` entries in as flags right after the
+    subcommand. argparse keeps a flag's last value, so the flags given on the
+    command line, which come later, win in every spelling it accepts; it also
+    applies its type, choice and unknown-flag rules to the entries."""
+    locate = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    locate.add_argument("--config")
+    try:
+        path = locate.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return argv  # the full parse reports it
     if path is None:
         return argv
     extra: list[str] = []
@@ -129,16 +137,12 @@ def apply_config(argv: list[str]) -> list[str]:
                 raise CLIInputError(f"config line without '=': {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             flag = f"--{key}"
-            present = any(t == flag or t.startswith(flag + "=") for t in argv)
-            if present:
-                continue
-            if value.lower() in ("true", "false"):
-                if value.lower() == "true":
-                    extra.append(flag)
-            else:
+            if value.lower() == "true":
+                extra.append(flag)
+            elif value.lower() != "false":
                 # One token, so a value such as -1/2 is not read as a flag.
                 extra.append(f"{flag}={value}")
-    return argv + extra
+    return argv[:1] + extra + argv[1:]
 
 
 def _threefold(args) -> RuledThreefold:
@@ -166,6 +170,11 @@ def _require(args, names: list[str]) -> None:
     missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
     if missing:
         raise CLIInputError("missing required flags: " + ", ".join(f"--{n}" for n in missing))
+
+
+def _point_flags(args) -> TiltPoint:
+    _require(args, ["alpha2", "beta"])
+    return TiltPoint(args.alpha2, args.beta)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -213,8 +222,7 @@ def _cmd_slope(args) -> int:
     elif kind == "muC":
         value = mu_C(ch)
     else:
-        _require(args, ["alpha2", "beta"])
-        pt = TiltPoint(args.alpha2, args.beta)
+        pt = _point_flags(args)
         if kind == "nu":
             value = nu(ch, pt)
         elif kind == "nuMixed":
@@ -242,34 +250,32 @@ def _verdict_lines(args, defects: dict) -> tuple[int, list[str]]:
     return (0 if ok else 1), lines
 
 
+def _star_defect(ch, pt, X):
+    if nu(ch, pt).is_infinite:
+        raise CLIInputError("star form needs a finite tilt slope at (alpha2, beta)")
+    return bg_star_defect(ch, pt, X)
+
+
+# --ineq kind -> its defect of (ch, args, X), or a dict of named defects. A kind
+# evaluated at a tilt point reads it through `_point_flags`.
+CHECKS = {
+    "conj31": lambda ch, a, X: bg_main_defect(ch, _point_flags(a), X),
+    "conj32": lambda ch, a, X: bg_nu_zero_defect(ch, _point_flags(a), X),
+    "star": lambda ch, a, X: _star_defect(ch, _point_flags(a), X),
+    "weak": lambda ch, a, X: bg_weak_defect(ch, _point_flags(a), X),
+    "nabla": lambda ch, a, X: nabla(ch, X),
+    "corollary": lambda ch, a, X: corollary_defect(ch, X),
+    "fiber-bog": lambda ch, a, X: fiber_bogomolov_defect(a.k, ch, X),
+    "classical": lambda ch, a, X: dict(zip(("F_defect", "H_defect"), disc_classical(ch, X))),
+}
+
+
 def _cmd_check(args) -> int:
     X = _threefold(args)
     _require(args, ["char"])
-    ch = args.char
-    needs_pt = args.ineq in ("conj31", "conj32", "star", "weak")
-    pt = None
-    if needs_pt:
-        _require(args, ["alpha2", "beta"])
-        pt = TiltPoint(args.alpha2, args.beta)
-    if args.ineq == "conj31":
-        defects = {"defect": bg_main_defect(ch, pt, X)}
-    elif args.ineq == "conj32":
-        defects = {"defect": bg_nu_zero_defect(ch, pt, X)}
-    elif args.ineq == "star":
-        if nu(ch, pt).is_infinite:
-            raise CLIInputError("star form needs a finite tilt slope at (alpha2, beta)")
-        defects = {"defect": bg_star_defect(ch, pt, X)}
-    elif args.ineq == "weak":
-        defects = {"defect": bg_weak_defect(ch, pt, X)}
-    elif args.ineq == "nabla":
-        defects = {"defect": nabla(ch, X)}
-    elif args.ineq == "corollary":
-        defects = {"defect": corollary_defect(ch, X)}
-    elif args.ineq == "fiber-bog":
-        defects = {"defect": fiber_bogomolov_defect(args.k, ch, X)}
-    else:  # classical
-        f_delta, h_delta = disc_classical(ch, X)
-        defects = {"F_defect": f_delta, "H_defect": h_delta}
+    defects = CHECKS[args.ineq](args.char, args, X)
+    if not isinstance(defects, dict):
+        defects = {"defect": defects}
     code, lines = _verdict_lines(args, defects)
     payload = {name: format_rat(v) for name, v in defects.items()}
     payload["holds"] = code == 0
@@ -293,11 +299,7 @@ def _wall_payload(wall) -> dict:
 
 def _wall_text(wall) -> str:
     p = _wall_payload(wall)
-    if p["type"] == "semicircle":
-        return f"semicircle center={p['center']} radius_sq={p['radius_sq']}"
-    if p["type"] == "vertical":
-        return f"vertical beta={p['beta']}"
-    return p["type"]
+    return " ".join([p.pop("type"), *(f"{k}={v}" for k, v in p.items())])
 
 
 def _cmd_wall(args) -> int:
@@ -384,14 +386,10 @@ def emit_csv(pairs: list[tuple[ReducedClass, Wall]], path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["w_r", "w_c", "w_d", "wall_type", "center", "radius_sq"])
         for w, wall in pairs:
-            if isinstance(wall, VerticalWall):
-                kind, center, rsq = "vertical", format_rat(wall.beta), ""
-            else:
-                kind = "semicircle"
-                center = format_rat(wall.center)
-                rsq = format_rat(wall.radius_sq)
+            p = _wall_payload(wall)
             writer.writerow(
-                [format_rat(w.r), format_rat(w.c), format_rat(w.dd), kind, center, rsq]
+                [*map(format_rat, w.as_tuple()), p["type"], p.get("center", p.get("beta")),
+                 p.get("radius_sq", "")]
             )
 
 
@@ -508,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ineq",
         required=True,
-        choices=("conj31", "conj32", "star", "weak", "nabla", "corollary", "fiber-bog", "classical"),
+        choices=tuple(CHECKS),
     )
     p.add_argument("--char", type=_char, default=None)
     p.add_argument("--alpha2", type=_rat, default=None)

@@ -49,6 +49,21 @@ def rat_fields(obj, names: tuple[str, ...]) -> None:
             object.__setattr__(obj, name, as_rat(x))
 
 
+_MULTIPLE = {1: "an integer", 2: "a half-integer", 6: "a sixth-integer"}
+
+
+def lattice_error(x) -> str | None:
+    """Why the lattice value type x is off its lattice, or None when it is on it.
+
+    `type(x).LATTICE` pairs each entry of `x.as_tuple()` with its label and
+    the m for which the entry times m must be an integer.
+    """
+    for (label, m), value in zip(type(x).LATTICE, x.as_tuple()):
+        if (m * value).denominator != 1:
+            return f"entry {label} = {value} must be {_MULTIPLE[m]}"
+    return None
+
+
 def format_rat(q: Rat | int) -> str:
     return str(as_rat(q))
 
@@ -169,15 +184,6 @@ class QuadRat:
 
     def __setattr__(self, *_):
         raise AttributeError("QuadRat is immutable")
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def to_rat(self) -> Rat:
-        if self.b != 0:
-            raise ValueError("irrational QuadRat has no rational value")
-        return self.a
 
     def _key(self) -> tuple[Rat, Rat]:
         return self.a, self.b * abs(self.b) * self.radicand

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Rat, as_rat, format_rat, parse_rat, rat_fields
+from .exactnum import Rat, format_rat, lattice_error, parse_rat, rat_fields
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,8 @@ class RuledThreefold:
 @dataclass(frozen=True)
 class CharVector:
     """Point of the rank-6 numerical Chern lattice, coordinates (r, cHF, cHH, dF, dH, e)."""
+
+    LATTICE = (("r", 1), ("cHF", 1), ("cHH", 1), ("dF", 2), ("dH", 2), ("e", 6))
 
     r: Rat
     cHF: Rat
@@ -70,14 +72,7 @@ class CharVector:
 
     def is_lattice(self) -> bool:
         """Integrality pattern Z, Z, Z, Z/2, Z/2, Z/6."""
-        return (
-            self.r.denominator == 1
-            and self.cHF.denominator == 1
-            and self.cHH.denominator == 1
-            and (2 * self.dF).denominator == 1
-            and (2 * self.dH).denominator == 1
-            and (6 * self.e).denominator == 1
-        )
+        return lattice_error(self) is None
 
     def __add__(self, other: "CharVector") -> "CharVector":
         return CharVector(*(a + b for a, b in zip(self.as_tuple(), other.as_tuple())))
@@ -87,10 +82,6 @@ class CharVector:
 
     def __neg__(self) -> "CharVector":
         return CharVector(*(-a for a in self.as_tuple()))
-
-    def scale(self, k: Rat | int) -> "CharVector":
-        k = as_rat(k)
-        return CharVector(*(k * a for a in self.as_tuple()))
 
 
 CHAR_O = CharVector(1, 0, 0, 0, 0, 0)
@@ -106,22 +97,6 @@ def parse_char(text: str) -> CharVector:
 
 def format_char(ch: CharVector) -> str:
     return ",".join(format_rat(x) for x in ch.as_tuple())
-
-
-def validate_lattice_char(ch: CharVector) -> CharVector:
-    """Enforce the integrality pattern, with a field-by-field error message."""
-    checks = [
-        ("r", ch.r, 1, "an integer"),
-        ("cHF", ch.cHF, 1, "an integer"),
-        ("cHH", ch.cHH, 1, "an integer"),
-        ("dF", ch.dF, 2, "a half-integer"),
-        ("dH", ch.dH, 2, "a half-integer"),
-        ("e", ch.e, 6, "a sixth-integer"),
-    ]
-    for name, value, mult, kind in checks:
-        if (mult * value).denominator != 1:
-            raise ValueError(f"entry {name} = {value} must be {kind}")
-    return ch
 
 
 def canonical_and_c2(X: RuledThreefold) -> tuple[tuple[int, int], int, int]:

@@ -78,7 +78,7 @@ def mu_C(ch: CharVector) -> ExtRat:
     pushed forward from fibers.
     """
     if ch.r != 0:
-        return ExtRat(ch.cHF / ch.r)
+        return mu_HF(ch)
     if ch.cHF == 0 and ch.dF == 0 and ch.cHH != 0:
         return ExtRat(ch.dH / ch.cHH)
     return INFINITY
@@ -173,11 +173,6 @@ def central_charge(ch: CharVector, p: ChargeParams, X: RuledThreefold) -> Charge
     """The rank-6 central charge; skyscrapers map to -1."""
     re, im, N = _charge_parts(ch, p, X)
     return ChargeValue(Fraction(re, N), Fraction(im, N))
-
-
-def in_positive_cone(z: ChargeValue) -> bool:
-    """Open upper half-plane together with the negative real axis."""
-    return z.im > 0 or (z.im == 0 and z.re < 0)
 
 
 def nu_sigma(ch: CharVector, p: ChargeParams, X: RuledThreefold) -> ExtRat:

@@ -25,7 +25,8 @@ which forces d^apex = (rho^2/2) r for u, w and u - w, hence
 
     disc(w) = cbar_w^2 - rho^2 r_w^2   (cbar = c twisted at the apex)
 
-and the window (E) makes all three cbar values nonnegative with
+(sympy proves both for u, w and u - w in `tests/test_symbolic.py`), and
+the window (E) makes all three cbar values nonnegative with
 cbar_w + cbar_{u-w} = cbar_u. Eliminating the cbar's shows rho^2 is a ratio
 of integers with numerator at most disc(u)^2 and positive denominator at
 least 4, so rho^2 <= disc(u)^2 / 4. That bounds the center (through
@@ -58,7 +59,7 @@ to be a superset of the admissible classes.
 The window (E) checked at the apex is equivalent to the window on the whole
 wall: c^b(w) is linear in b along the wall chord and (A) gives
 cbar_w >= rho |r_w|, so nonnegativity at the apex forces it at both
-endpoints; same for u - w via (B).
+endpoints; same for u - w via (B). `tests/test_symbolic.py` proves this too.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from fractions import Fraction
 
 from .chern import ReducedClass, TiltPoint, disc_bar_reduced
 from .exactnum import Rat, ceil_sqrt, rat_fields
-from .stability import nu
 
 
 @dataclass(frozen=True)
@@ -131,22 +131,6 @@ def numerical_wall(u: ReducedClass, w: ReducedClass):
     if psi != 0:
         return VerticalWall(omega / psi)
     return None
-
-
-def wall_contains(wall: Wall, pt: TiltPoint) -> bool:
-    if isinstance(wall, VerticalWall):
-        return pt.beta == wall.beta
-    db = pt.beta - wall.center
-    return db * db + pt.alpha2 == wall.radius_sq
-
-
-def circle_through(u: ReducedClass, pt: TiltPoint) -> SemicircleWall:
-    """The member of u's wall pencil through pt: center beta + nu, radius^2 alpha^2 + nu^2."""
-    s = nu(u.lift(), pt)
-    if s.is_infinite:
-        raise ValueError("no slope circle through a point of infinite slope")
-    v = s.value
-    return SemicircleWall(pt.beta + v, pt.alpha2 + v * v)
 
 
 def walls_meet(w1: Wall, w2: Wall) -> bool:

@@ -23,6 +23,11 @@ def rng() -> random.Random:
     return random.Random(20260809)
 
 
+def lift(u: ReducedClass) -> CharVector:
+    """A character with reduction u and zeros elsewhere."""
+    return CharVector(u.r, u.c, 0, u.dd, 0, 0)
+
+
 rats = st.fractions(min_value=-30, max_value=30, max_denominator=6)
 
 lattice_chars = st.builds(

@@ -39,7 +39,8 @@ from tiltwall import (
 )
 from tiltwall.chern import disc_bar_reduced
 from reference_formulas import bg_weak_gram, chi_bounds_via_rr, quad_value
-from tiltwall.walls import EVERYWHERE, SemicircleWall, circle_through
+from tiltwall.walls import EVERYWHERE, SemicircleWall
+from conftest import lift
 from wall_oracle import covering_c_window, oracle_enumerate, result_to_set, sample_points
 
 SEED = 20260809
@@ -161,7 +162,7 @@ def test_criterion_6_wall_geometry():
             continue
         seen += 1
         for pt in sample_points(wall, [u, w]):
-            assert nu(u.lift(), pt) == nu(w.lift(), pt)
+            assert nu(lift(u), pt) == nu(lift(w), pt)
 
     # (b) nested walls: identical or disjoint for classes of nonnegative disc
     seen = 0
@@ -176,17 +177,19 @@ def test_criterion_6_wall_geometry():
         seen += 1
         assert a == b or not walls_meet(a, b)
 
-    # (c) circle-through constancy at 5 rational points per circle
+    # (c) circle-through constancy at 5 rational points per circle: the member
+    # of u's pencil through pt has center beta + nu and radius^2 alpha^2 + nu^2
     seen = 0
     while seen < 200:
         u = _reduced(rng)
         pt = _point(rng)
-        if nu(u.lift(), pt).is_infinite:
+        s = nu(lift(u), pt)
+        if s.is_infinite:
             continue
         seen += 1
-        circle = circle_through(u, pt)
+        circle = SemicircleWall(pt.beta + s.value, pt.alpha2 + s.value**2)
         for q in sample_points(circle, [u]):
-            assert q.beta + nu(u.lift(), q).value == circle.center
+            assert q.beta + nu(lift(u), q).value == circle.center
 
     # (d) disc-zero classes have no semicircular walls
     null_classes = [ReducedClass(k, k * m, Fraction(k * m * m, 2)) for k in (1, 2, -1) for m in (-2, 0, 3)]

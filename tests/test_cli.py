@@ -5,6 +5,19 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from tiltwall import (
+    CharVector,
+    RuledThreefold,
+    TiltPoint,
+    bg_main_defect,
+    bg_nu_zero_defect,
+    bg_star_defect,
+    bg_weak_defect,
+    corollary_defect,
+    disc_classical,
+    fiber_bogomolov_defect,
+    nabla,
+)
 from tiltwall.cli import run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -112,6 +125,33 @@ class TestCheck:
              "--alpha2", "1", "--beta", "0", "--genus", "0", "--degree", "3"]
         )
         assert code == 2
+        assert out_of(capsys) == ("", "error: star form needs a finite tilt slope at (alpha2, beta)")
+
+    def test_each_kind_reports_its_own_defect(self, capsys):
+        X = RuledThreefold(1, 2)
+        ch = CharVector(2, 1, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(1, 6))
+        pt = TiltPoint(Fraction(1, 3), Fraction(-1, 2))
+        expected = {
+            "conj31": {"defect": bg_main_defect(ch, pt, X)},
+            "conj32": {"defect": bg_nu_zero_defect(ch, pt, X)},
+            "star": {"defect": bg_star_defect(ch, pt, X)},
+            "weak": {"defect": bg_weak_defect(ch, pt, X)},
+            "nabla": {"defect": nabla(ch, X)},
+            "corollary": {"defect": corollary_defect(ch, X)},
+            "fiber-bog": {"defect": fiber_bogomolov_defect(2, ch, X)},
+            "classical": dict(zip(("F_defect", "H_defect"), disc_classical(ch, X))),
+        }
+        flags = ["--char", "2,1,3,1/2,-3/2,1/6", "--alpha2", "1/3", "--beta=-1/2",
+                 "--genus", "1", "--degree", "2", "--k", "2", "--format", "json"]
+        seen = set()
+        for kind, defects in expected.items():
+            code = run(["check", "--ineq", kind, *flags])
+            holds = all(v >= 0 for v in defects.values())
+            assert code == (0 if holds else 1)
+            want = {name: str(v) for name, v in defects.items()}
+            assert json.loads(out_of(capsys)[0]) == {**want, "holds": holds}
+            seen.add(tuple(want.values()))
+        assert len(seen) == 7  # nabla and corollary are one quantity; the rest differ
 
     def test_json_format(self, capsys):
         run(
@@ -328,6 +368,46 @@ class TestConfigAndRoundTrip:
         cfg.write_text("genus = 2\ndegree = 5\nchar = 1,0,0,0,0,0\n")
         assert run(["chi", "--config", str(cfg), "--genus", "0"]) == 0
         assert out_of(capsys)[0] == "1"
+
+    def test_abbreviated_flag_beats_config(self, tmp_path, capsys):
+        # the config entries go in before the command line's flags, so argparse's
+        # last-value rule lets an explicit flag win in any spelling it accepts
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("genus = 2\n")
+        base = ["chi", "--char", "1,0,0,0,0,0", "--degree", "1", "--config", str(cfg)]
+        for explicit in (["--gen", "0"], ["--genus=0"], ["--genus", "0"]):
+            assert run(base + explicit) == 0
+            assert out_of(capsys) == ("1", "")
+        assert run(base) == 0
+        assert out_of(capsys) == ("-1", "")
+
+    def test_abbreviated_config_flag_is_read(self, tmp_path, capsys):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("genus = 2\n")
+        for flag in (["--conf", str(cfg)], [f"--conf={cfg}"]):
+            assert run(["chi", "--char", "1,0,0,0,0,0", "--degree", "1", *flag]) == 0
+            assert out_of(capsys) == ("-1", "")
+
+    def test_abbreviated_format_beats_config(self, tmp_path, capsys):
+        cfg = tmp_path / "j.cfg"
+        cfg.write_text("format = json\n")
+        assert run(["wall", "--u", "1,0,0", "--w", "0,0,1", "--config", str(cfg), "--form", "text"]) == 0
+        assert out_of(capsys) == ("vertical beta=0", "")
+
+    def test_config_values_get_flag_checks(self, tmp_path, capsys):
+        # a bad config value fails as the same flag on the command line would,
+        # also when an explicit flag overrides it
+        cfg = tmp_path / "bad.cfg"
+        base = ["chi", "--char", "1,0,0,0,0,0", "--genus", "0", "--degree", "1", "--config", str(cfg)]
+        for line, message in (
+            ("genus = x", "argument --genus: invalid int value: 'x'"),
+            ("format = xml", "argument --format: invalid choice: 'xml'"),
+            ("colour = red", "unrecognized arguments: --colour=red"),
+        ):
+            cfg.write_text(line + "\n")
+            assert run(base) == 2
+            out, err = out_of(capsys)
+            assert out == "" and message in err
 
     def test_config_value_starting_with_minus(self, tmp_path, capsys):
         flags = ["--alpha2", "1", "--char", "1,1,3,1/2,3/2,1/2"]

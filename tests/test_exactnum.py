@@ -78,7 +78,7 @@ class TestQuadRat:
 
     def test_perfect_square_normalizes(self):
         x = QuadRat(1, 1, Fraction(9, 4))
-        assert x.is_rational and x.to_rat() == Fraction(5, 2)
+        assert (x.a, x.b, x.radicand) == (Fraction(5, 2), 0, 0)
 
     def test_zero_b_normalizes_radicand(self):
         assert QuadRat(3, 0, 7) == QuadRat(3)

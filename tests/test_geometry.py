@@ -18,7 +18,8 @@ from tiltwall import (
     parse_char,
     tensor_product_char,
 )
-from tiltwall.geometry import validate_lattice_char
+from tiltwall.chern import parse_reduced
+from tiltwall.exactnum import lattice_error
 
 from conftest import lattice_chars, rand_lattice_char, threefolds, wide_chars, wide_threefolds
 
@@ -281,7 +282,8 @@ class TestEulerChar:
             for _ in range(4):
                 lb = line_bundle_char(rng.randint(-4, 4), rng.randint(-4, 4), X)
                 piece = lb if rng.random() < 0.6 else fiber_pushforward_char(rng.randint(1, 3), lb)
-                ch = ch + piece.scale(rng.randint(-2, 2))
+                k = rng.randint(-2, 2)
+                ch = ch + CharVector(*(k * x for x in piece.as_tuple()))
             assert euler_char(X, ch).denominator == 1
 
 
@@ -316,11 +318,6 @@ class TestCoercion:
             with pytest.raises(TypeError):
                 CharVector(*entries)
 
-    def test_scale_rejects_float(self):
-        assert CHAR_O.scale(Fraction(1, 2)).r == Fraction(1, 2)
-        with pytest.raises(TypeError, match="float"):
-            CHAR_O.scale(0.1)
-
 
 class TestSerialization:
     def test_round_trip(self, rng):
@@ -333,9 +330,20 @@ class TestSerialization:
             parse_char("1,2,3")
 
     def test_lattice_validation_messages(self):
-        with pytest.raises(ValueError, match="dF.*half-integer"):
-            validate_lattice_char(parse_char("1,0,0,1/3,0,0"))
-        with pytest.raises(ValueError, match="e.*sixth-integer"):
-            validate_lattice_char(parse_char("1,0,0,0,0,1/4"))
-        with pytest.raises(ValueError, match="r.*integer"):
-            validate_lattice_char(parse_char("1/2,0,0,0,0,0"))
+        # one table per type gives both is_lattice and the first offending entry
+        for text, message in (
+            ("1,0,0,1/3,0,0", "entry dF = 1/3 must be a half-integer"),
+            ("1,0,0,0,0,1/4", "entry e = 1/4 must be a sixth-integer"),
+            ("1/2,0,0,0,0,1/4", "entry r = 1/2 must be an integer"),
+            ("0,0,1/2,1/2,3/2,1/6", "entry cHH = 1/2 must be an integer"),
+        ):
+            ch = parse_char(text)
+            assert lattice_error(ch) == message and not ch.is_lattice()
+        assert lattice_error(parse_char("1,2,3,1/2,-3/2,5/6")) is None
+        for text, message in (
+            ("1,1/3,0", "entry c = 1/3 must be an integer"),
+            ("1,0,1/3", "entry d = 1/3 must be a half-integer"),
+        ):
+            u = parse_reduced(text)
+            assert lattice_error(u) == message and not u.is_lattice()
+        assert parse_reduced("-1,2,-3/2").is_lattice()

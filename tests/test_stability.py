@@ -15,7 +15,6 @@ from tiltwall import (
     central_charge,
     fiber_pushforward_char,
     heart_sign_constraints,
-    in_positive_cone,
     line_bundle_char,
     mu_C,
     mu_HF,
@@ -191,14 +190,6 @@ class TestCentralCharge:
             at_b0 = central_charge(ch, ChargeParams(a2, b0, s, t), X)
             at_zero = central_charge(twist(ch, b0, X), ChargeParams(a2, 0, s, t), X)
             assert at_b0 == at_zero
-
-
-class TestCone:
-    def test_examples(self):
-        assert in_positive_cone(ChargeValue(0, 1))
-        assert in_positive_cone(ChargeValue(-1, 0))
-        assert not in_positive_cone(ChargeValue(1, 0))
-        assert not in_positive_cone(ChargeValue(0, -1))
 
 
 class TestNuSigma:

@@ -128,3 +128,64 @@ def test_chi_functionals_from_riemann_roch():
     expected2 = E - DH / 2 - (G - 1 + D / 2) * DF + (3 * G - 3 + 2 * D) / 6 * C1
     assert sp.simplify(chi1 - expected1) == 0
     assert sp.simplify(chi2 - expected2) == 0
+
+
+# Reduced classes u = (r_u, c_u, d_u) and w = (r_w, c_w, d_w), and the apex
+# (b0, rho^2) of their numerical wall: center psi/chi, squared radius
+# b0^2 - 2 omega/chi, as in the `walls` module docstring.
+RU, CU, DU, RW, CW, DW = sp.symbols("r_u c_u d_u r_w c_w d_w", rational=True)
+U, W = (RU, CU, DU), (RW, CW, DW)
+V = tuple(x - y for x, y in zip(U, W))  # u - w
+
+
+def _apex(u, w):
+    (ru, cu, du), (rw, cw, dw) = u, w
+    chi = ru * cw - rw * cu
+    psi = ru * dw - rw * du
+    omega = cu * dw - cw * du
+    b0 = psi / chi
+    return b0, b0**2 - 2 * omega / chi
+
+
+B0, RHO2 = _apex(U, W)
+
+
+def test_apex_twisted_d_is_half_rho2_r():
+    # at the apex both tilt slopes vanish: d^b0 = (rho^2/2) r for u, w and u - w;
+    # times chi this is a determinant with a repeated row
+    for r, c, d in (U, W, V):
+        d_apex = d - B0 * c + B0**2 / 2 * r
+        assert sp.simplify(d_apex - RHO2 / 2 * r) == 0
+
+
+def test_apex_disc_is_cbar_squared_minus_rho2_r_squared():
+    # disc = c^2 - 2 r d is twist-invariant, so at the apex
+    # disc(x) = cbar_x^2 - rho^2 r_x^2 with cbar_x = c_x - b0 r_x
+    for r, c, d in (U, W, V):
+        cbar = c - B0 * r
+        assert sp.simplify((c**2 - 2 * r * d) - (cbar**2 - RHO2 * r**2)) == 0
+
+
+def test_window_at_apex_holds_along_the_wall():
+    # Along the chord b = b0 + t rho, |t| <= 1, c^b(x) = cbar_x - t rho r_x is the
+    # convex combination (1-t)/2 * p + (1+t)/2 * m of p, m = cbar_x +- rho r_x.
+    # p + m = 2 cbar_x and p m = disc(x). For x = w, (A) gives disc(w) >= 0 and
+    # the window at the apex cbar_w >= 0; for x = u - w, (B) gives
+    # disc(u - w) >= 0 and the window cbar_u - cbar_w = cbar_{u-w} >= 0. Two
+    # reals with p + m >= 0 and p m >= 0 are both >= 0, because
+    # (p - m)^2 = (p + m)^2 - 4 p m <= (p + m)^2. So c^b(w) >= 0 and
+    # c^b(u) - c^b(w) = c^b(u - w) >= 0 on the whole chord: the window (E) at
+    # the apex implies it along the wall.
+    t, rho, p, m = sp.symbols("t rho p m", real=True)
+    for r, c, d in (W, V):
+        cbar = c - B0 * r
+        c_along = c - (B0 + t * rho) * r
+        plus, minus = cbar + rho * r, cbar - rho * r
+        assert sp.expand(c_along - ((1 - t) / 2 * plus + (1 + t) / 2 * minus)) == 0
+        assert sp.expand(plus + minus - 2 * cbar) == 0
+        disc = c**2 - 2 * r * d
+        assert sp.simplify((plus * minus).subs(rho, sp.sqrt(RHO2)) - disc) == 0
+    # twisting is linear, so the window's right side is the u - w window
+    cu_b, cw_b = (x[1] - (B0 + t * rho) * x[0] for x in (U, W))
+    assert sp.expand((cu_b - cw_b) - (V[1] - (B0 + t * rho) * V[0])) == 0
+    assert sp.expand((p - m) ** 2 - ((p + m) ** 2 - 4 * p * m)) == 0

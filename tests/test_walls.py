@@ -9,17 +9,15 @@ from tiltwall import (
     SemicircleWall,
     TiltPoint,
     VerticalWall,
-    circle_through,
     enumerate_destabilizers,
     largest_wall,
     numerical_wall,
     nu,
-    wall_contains,
     walls_meet,
 )
 from tiltwall.chern import disc_bar_reduced
 from tiltwall.walls import candidate_bound, candidate_box
-from conftest import rand_reduced
+from conftest import lift, rand_reduced
 from wall_oracle import (
     covering_c_window,
     oracle_enumerate,
@@ -71,33 +69,36 @@ class TestNumericalWall:
                 continue
             seen += 1
             for pt in sample_points(wall, [u, w]):
-                assert nu(u.lift(), pt) == nu(w.lift(), pt)
+                assert nu(lift(u), pt) == nu(lift(w), pt)
 
 
-class TestWallContains:
-    def test_examples(self):
-        s = SemicircleWall(Fraction(1, 2), Fraction(1, 4))
-        assert wall_contains(s, TiltPoint(Fraction(1, 4), Fraction(1, 2)))
-        assert not wall_contains(s, TiltPoint(Fraction(1, 4), 0))
-        assert wall_contains(VerticalWall(0), TiltPoint(7, 0))
+def pencil_circle(u: ReducedClass, pt: TiltPoint) -> SemicircleWall:
+    """The member of u's wall pencil through pt: center beta + nu, radius^2 alpha^2 + nu^2."""
+    v = nu(lift(u), pt).value
+    return SemicircleWall(pt.beta + v, pt.alpha2 + v * v)
 
 
 class TestCircleThrough:
     def test_example(self):
-        wall = circle_through(ReducedClass(1, 1, Fraction(1, 2)), TiltPoint(1, 0))
-        assert wall == SemicircleWall(0, 1)
+        # nu(O(H)) = 0 at (1, 0), so the pencil circle there is center 0, radius^2 1;
+        # (0, 1, 0) has d = r/2 and c != r, so its wall against O(H) is that circle
+        u = ReducedClass(1, 1, Fraction(1, 2))
+        assert nu(lift(u), TiltPoint(1, 0)) == 0
+        assert numerical_wall(u, ReducedClass(0, 1, 0)) == SemicircleWall(0, 1)
 
     def test_contains_its_point(self, rng):
+        # (0, 1, beta + nu) has tilt slope nu at pt, so its numerical wall
+        # against u is the pencil circle through pt
         seen = 0
         while seen < 150:
             u = rand_reduced(rng)
             pt = TiltPoint(Fraction(rng.randint(1, 9), rng.randint(1, 4)),
                            Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
-            s = nu(u.lift(), pt)
-            if s.is_infinite:
+            s = nu(lift(u), pt)
+            if s.is_infinite or u.r == 0:
                 continue
             seen += 1
-            assert wall_contains(circle_through(u, pt), pt)
+            assert numerical_wall(u, ReducedClass(0, 1, pt.beta + s.value)) == pencil_circle(u, pt)
 
     def test_center_constancy_along_circle(self, rng):
         seen = 0
@@ -105,13 +106,13 @@ class TestCircleThrough:
             u = rand_reduced(rng)
             pt = TiltPoint(Fraction(rng.randint(1, 9), rng.randint(1, 4)),
                            Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
-            s = nu(u.lift(), pt)
+            s = nu(lift(u), pt)
             if s.is_infinite:
                 continue
-            wall = circle_through(u, pt)
+            wall = pencil_circle(u, pt)
             seen += 1
             for q in sample_points(wall, [u]):
-                sq = nu(u.lift(), q)
+                sq = nu(lift(u), q)
                 assert q.beta + sq.value == wall.center
 
     def test_never_crosses_pencil_walls(self, rng):
@@ -126,16 +127,12 @@ class TestCircleThrough:
                 continue
             pt = TiltPoint(Fraction(rng.randint(1, 9), rng.randint(1, 4)),
                            Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
-            s = nu(u.lift(), pt)
+            s = nu(lift(u), pt)
             if s.is_infinite:
                 continue
             seen += 1
-            circle = circle_through(u, pt)
+            circle = pencil_circle(u, pt)
             assert circle == wall or not walls_meet(circle, wall)
-
-    def test_rejects_infinite_slope(self):
-        with pytest.raises(ValueError):
-            circle_through(ReducedClass(1, 0, 0), TiltPoint(1, 0))
 
 
 class TestNestedWalls:
@@ -161,7 +158,8 @@ class TestNestedWalls:
         assert isinstance(a, SemicircleWall) and isinstance(b, SemicircleWall)
         assert a != b and walls_meet(a, b)
         base = TiltPoint(2, 0)  # alpha^2 = -disc(u)/r^2, beta = c/r
-        assert wall_contains(a, base) and wall_contains(b, base)
+        for wall in (a, b):
+            assert (base.beta - wall.center) ** 2 + base.alpha2 == wall.radius_sq
 
 
 class TestEnumerate:
@@ -224,7 +222,7 @@ class TestEnumerate:
             rank_bound = rng.randint(1, 3)
             delta = disc_bar_reduced(u)
             # The oracle's cost grows like (disc(u) * rank_bound)^2.
-            if delta < 0 or u.is_zero() or delta * rank_bound > 80:
+            if delta < 0 or u == ReducedClass(0, 0, 0) or delta * rank_bound > 80:
                 continue
             checked += 1
             want = oracle_enumerate(u, rank_bound, covering_c_window(u, rank_bound))

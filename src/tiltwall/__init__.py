@@ -17,7 +17,6 @@ from .exactnum import (
     ExtRat,
     QuadRat,
     Rat,
-    format_quadrat,
     format_rat,
     parse_rat,
     rat_sqrt,

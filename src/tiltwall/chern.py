@@ -29,15 +29,6 @@ class ReducedClass:
     def is_lattice(self) -> bool:
         return lattice_error(self) is None
 
-    def __add__(self, other: "ReducedClass") -> "ReducedClass":
-        return ReducedClass(self.r + other.r, self.c + other.c, self.dd + other.dd)
-
-    def __sub__(self, other: "ReducedClass") -> "ReducedClass":
-        return ReducedClass(self.r - other.r, self.c - other.c, self.dd - other.dd)
-
-    def __neg__(self) -> "ReducedClass":
-        return ReducedClass(-self.r, -self.c, -self.dd)
-
 
 @dataclass(frozen=True)
 class TiltPoint:
@@ -130,12 +121,11 @@ def disc_bar_reduced(u: ReducedClass) -> Rat:
     return u.c * u.c - 2 * u.r * u.dd
 
 
-def beta_bar(ch: CharVector, other_root: bool = False) -> QuadRat:
+def beta_bar(ch: CharVector) -> QuadRat:
     """The twist parameter at which the twisted F.ch2 vanishes.
 
-    For nonzero rank this is a root of (r/2) b^2 - cHF b + dF; the default
-    takes the minus-sign branch (the smaller root when the rank is positive),
-    `other_root=True` the plus-sign branch. For rank zero it is dF/cHF.
+    For nonzero rank this is the minus-sign root (the smaller root when the
+    rank is positive) of (r/2) b^2 - cHF b + dF. For rank zero it is dF/cHF.
     """
     r, c, dd = ch.r, ch.cHF, ch.dF
     if r == 0:
@@ -145,8 +135,7 @@ def beta_bar(ch: CharVector, other_root: bool = False) -> QuadRat:
     disc = c * c - 2 * r * dd
     if disc < 0:
         raise ValueError("beta_bar domain error: negative discriminant with nonzero rank")
-    sign = 1 if other_root else -1
-    return QuadRat(c / r, Fraction(sign, 1) / r, disc)
+    return QuadRat(c / r, -1 / r, disc)
 
 
 def f_ch2_twisted(ch: CharVector, b: QuadRat | Rat | int) -> QuadRat:

@@ -28,7 +28,7 @@ from .chern import (
     tensor_line,
     twist,
 )
-from .exactnum import format_quadrat, format_rat, lattice_error, parse_rat
+from .exactnum import format_rat, lattice_error, parse_rat
 from .geometry import (
     RuledThreefold,
     dual_char,
@@ -154,8 +154,8 @@ def _threefold(args) -> RuledThreefold:
     return X
 
 
-def _approx(q: Fraction) -> str:
-    return f"{float(q):.6g}"
+def _approx(args, q: Fraction) -> str:
+    return f"  (approx {float(q):.6g})" if args.approx else ""
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -175,6 +175,11 @@ def _require(args, names: list[str]) -> None:
 def _point_flags(args) -> TiltPoint:
     _require(args, ["alpha2", "beta"])
     return TiltPoint(args.alpha2, args.beta)
+
+
+def _charge_flags(args) -> ChargeParams:
+    _require(args, ["alpha2", "beta", "s", "t"])
+    return ChargeParams(args.alpha2, args.beta, args.s, args.t)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -205,7 +210,7 @@ def _cmd_chern(args) -> int:
         "mu_C": str(mu_C(ch)),
     }
     try:
-        payload["beta_bar"] = format_quadrat(beta_bar(ch))
+        payload["beta_bar"] = str(beta_bar(ch))
     except ValueError as exc:
         payload["beta_bar"] = None
         payload["beta_bar_note"] = str(exc)
@@ -229,31 +234,19 @@ def _cmd_slope(args) -> int:
             _require(args, ["t"])
             value = nu_mixed(ch, pt, args.t, _threefold(args))
         else:  # nuSigma
-            _require(args, ["s", "t"])
-            p = ChargeParams(args.alpha2, args.beta, args.s, args.t)
-            value = nu_sigma(ch, p, _threefold(args))
-    out = str(value)
-    suffix = "" if value.is_infinite or not args.approx else f"  (approx {_approx(value.value)})"
-    _emit(args, {"kind": kind, "value": out}, [out + suffix])
+            value = nu_sigma(ch, _charge_flags(args), _threefold(args))
+    suffix = "" if value.is_infinite else _approx(args, value.value)
+    _emit(args, {"kind": kind, "value": str(value)}, [str(value) + suffix])
     return 0
 
 
 def _verdict_lines(args, defects: dict) -> tuple[int, list[str]]:
     ok = all(v >= 0 for v in defects.values())
-    lines = []
-    for name, v in defects.items():
-        extra = f"  (approx {_approx(v)})" if args.approx else ""
-        lines.append(f"{name} = {format_rat(v)}{extra}")
+    lines = [f"{name} = {format_rat(v)}{_approx(args, v)}" for name, v in defects.items()]
     lines.append(
         "verdict: holds (conditional on semistability)" if ok else "verdict: violated"
     )
     return (0 if ok else 1), lines
-
-
-def _star_defect(ch, pt, X):
-    if nu(ch, pt).is_infinite:
-        raise CLIInputError("star form needs a finite tilt slope at (alpha2, beta)")
-    return bg_star_defect(ch, pt, X)
 
 
 # --ineq kind -> its defect of (ch, args, X), or a dict of named defects. A kind
@@ -261,7 +254,7 @@ def _star_defect(ch, pt, X):
 CHECKS = {
     "conj31": lambda ch, a, X: bg_main_defect(ch, _point_flags(a), X),
     "conj32": lambda ch, a, X: bg_nu_zero_defect(ch, _point_flags(a), X),
-    "star": lambda ch, a, X: _star_defect(ch, _point_flags(a), X),
+    "star": lambda ch, a, X: bg_star_defect(ch, _point_flags(a), X),
     "weak": lambda ch, a, X: bg_weak_defect(ch, _point_flags(a), X),
     "nabla": lambda ch, a, X: nabla(ch, X),
     "corollary": lambda ch, a, X: corollary_defect(ch, X),
@@ -317,9 +310,7 @@ def _cmd_walls(args) -> int:
         )
     if disc_bar_reduced(args.u) < 0:
         print("note: disc(u) < 0, no tilt-semistable object has this class", file=sys.stderr)
-        found = []
-    else:
-        found = enumerate_destabilizers(args.u, args.rank_bound, args.at)
+    found = enumerate_destabilizers(args.u, args.rank_bound, args.at)
     payload = [
         dict(w=format_reduced(w), **_wall_payload(wall))
         for w, wall in found
@@ -329,7 +320,7 @@ def _cmd_walls(args) -> int:
         for w, wall in found
     ] or ["no walls"]
     if args.csv:
-        emit_csv([(w, wall) for w, wall in found], args.csv)
+        emit_csv(found, args.csv)
     if args.svg:
         emit_svg([wall for _, wall in found], args.at, args.svg)
     _emit(args, {"walls": payload}, lines)
@@ -344,16 +335,13 @@ def _cmd_chi(args) -> int:
         value = euler_char_pair(X, line_bundle_char(*args.pair_from, X), ch)
     else:
         value = euler_char(X, ch)
-    extra = f"  (approx {_approx(value)})" if args.approx else ""
-    _emit(args, {"chi": format_rat(value)}, [format_rat(value) + extra])
+    _emit(args, {"chi": format_rat(value)}, [format_rat(value) + _approx(args, value)])
     return 0
 
 
 def _cmd_support(args) -> int:
     X = _threefold(args)
-    _require(args, ["alpha2", "beta", "s", "t"])
-    p = ChargeParams(args.alpha2, args.beta, args.s, args.t)
-    vector = [format_rat(x) for x in null_kernel_vector(p, X)]
+    vector = [format_rat(x) for x in null_kernel_vector(_charge_flags(args), X)]
     if args.format == "json":
         reason = {"kind": "null_kernel_vector", "vector": vector, "vanishing": ["Q_weak", "Q_disc"]}
         print(json.dumps({"witness": None, "reason": reason}))
@@ -381,11 +369,11 @@ def _cmd_selftest(args) -> int:
 # ------------------------------------------------------------------ emission
 
 
-def emit_csv(pairs: list[tuple[ReducedClass, Wall]], path: str) -> None:
+def emit_csv(found: list[tuple[ReducedClass, Wall]], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["w_r", "w_c", "w_d", "wall_type", "center", "radius_sq"])
-        for w, wall in pairs:
+        for w, wall in found:
             p = _wall_payload(wall)
             writer.writerow(
                 [*map(format_rat, w.as_tuple()), p["type"], p.get("center", p.get("beta")),
@@ -396,16 +384,20 @@ def emit_csv(pairs: list[tuple[ReducedClass, Wall]], path: str) -> None:
 def emit_svg(walls: list[Wall], query: TiltPoint | None, path: str) -> None:
     """Deterministic plot: beta horizontal, alpha vertical, equal aspect."""
     width, height, margin = 800.0, 520.0, 48.0
+    # (center, radius) of a semicircle, (beta, None) of a vertical wall
+    shapes = [
+        (float(w.center), math.sqrt(float(w.radius_sq))) if isinstance(w, SemicircleWall)
+        else (float(w.beta), None)
+        for w in walls
+    ]
     xs: list[float] = []
     tops: list[float] = []
-    for wall in walls:
-        if isinstance(wall, SemicircleWall):
-            c = float(wall.center)
-            r = math.sqrt(float(wall.radius_sq))
+    for c, r in shapes:
+        if r is None:
+            xs.append(c)
+        else:
             xs.extend([c - r, c + r])
             tops.append(r)
-        else:
-            xs.append(float(wall.beta))
     if query is not None:
         xs.append(float(query.beta))
         tops.append(math.sqrt(float(query.alpha2)))
@@ -438,20 +430,17 @@ def emit_svg(walls: list[Wall], query: TiltPoint | None, path: str) -> None:
         f'<text x="{f(width - margin + 6)}" y="{f(sy(0) + 4)}" font-size="14">beta</text>'
     )
     parts.append(f'<text x="{f(margin - 34)}" y="{f(margin)}" font-size="14">alpha</text>')
-    for wall in walls:
-        if isinstance(wall, SemicircleWall):
-            c = float(wall.center)
-            r = math.sqrt(float(wall.radius_sq))
+    for c, r in shapes:
+        if r is None:
+            parts.append(
+                f'<line x1="{f(sx(c))}" y1="{f(sy(0))}" x2="{f(sx(c))}" y2="{f(sy(ymax))}" '
+                'stroke="steelblue" stroke-width="1.5"/>'
+            )
+        else:
             rr = r * scale
             parts.append(
                 f'<path d="M {f(sx(c - r))} {f(sy(0))} A {f(rr)} {f(rr)} 0 0 1 '
                 f'{f(sx(c + r))} {f(sy(0))}" fill="none" stroke="crimson" stroke-width="1.5"/>'
-            )
-        else:
-            b = float(wall.beta)
-            parts.append(
-                f'<line x1="{f(sx(b))}" y1="{f(sy(0))}" x2="{f(sx(b))}" y2="{f(sy(ymax))}" '
-                'stroke="steelblue" stroke-width="1.5"/>'
             )
     if query is not None:
         qx = sx(float(query.beta))

@@ -203,12 +203,8 @@ class QuadRat:
         return f"QuadRat({self.a!r}, {self.b!r}, {self.radicand!r})"
 
     def __str__(self):
-        return format_quadrat(self)
-
-
-def format_quadrat(x: QuadRat) -> str:
-    """Canonical form: 'a' when rational, else 'a + b*sqrt(D)' / 'a - b*sqrt(D)'."""
-    if x.b == 0:
-        return format_rat(x.a)
-    sign = "+" if x.b > 0 else "-"
-    return f"{format_rat(x.a)} {sign} {format_rat(abs(x.b))}*sqrt({format_rat(x.radicand)})"
+        """Canonical form: 'a' when rational, else 'a + b*sqrt(D)' / 'a - b*sqrt(D)'."""
+        if self.b == 0:
+            return format_rat(self.a)
+        b, D = format_rat(abs(self.b)), format_rat(self.radicand)
+        return f"{format_rat(self.a)} {'+' if self.b > 0 else '-'} {b}*sqrt({D})"

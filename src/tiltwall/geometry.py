@@ -74,15 +74,6 @@ class CharVector:
         """Integrality pattern Z, Z, Z, Z/2, Z/2, Z/6."""
         return lattice_error(self) is None
 
-    def __add__(self, other: "CharVector") -> "CharVector":
-        return CharVector(*(a + b for a, b in zip(self.as_tuple(), other.as_tuple())))
-
-    def __sub__(self, other: "CharVector") -> "CharVector":
-        return CharVector(*(a - b for a, b in zip(self.as_tuple(), other.as_tuple())))
-
-    def __neg__(self) -> "CharVector":
-        return CharVector(*(-a for a in self.as_tuple()))
-
 
 CHAR_O = CharVector(1, 0, 0, 0, 0, 0)
 SKYSCRAPER = CharVector(0, 0, 0, 0, 0, 1)

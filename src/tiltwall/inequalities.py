@@ -102,7 +102,7 @@ def bg_star_defect(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> Rat:
     """
     parts = _nu_parts(ch, pt)
     if parts is None:
-        raise ValueError("slope-recentered defect needs a finite tilt slope")
+        raise ValueError("star form needs a finite tilt slope at (alpha2, beta)")
     v = Fraction(*parts)
     a, A, d = pt.alpha2.numerator, pt.alpha2.denominator, X.degree
     M, (_, C1, C2, _, _, E) = _twist_scaled(ch, pt.beta + v, X.degree)

@@ -16,8 +16,8 @@ from .stability import nu
 from .walls import EVERYWHERE, numerical_wall, walls_meet
 
 
-def rand_rat(rng: random.Random, span: int = 12, den: int = 6) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, den))
+def rand_rat(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
 
 
 def rand_lattice_char(rng: random.Random) -> CharVector:

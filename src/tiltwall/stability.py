@@ -43,8 +43,7 @@ class ChargeParams:
 
     def __post_init__(self):
         rat_fields(self, ("alpha2", "beta", "s", "t"))
-        if self.alpha2 <= 0:
-            raise ValueError("alpha2 must be positive")
+        self.tilt_point()  # checks alpha2
         if self.s <= 0 or self.t <= 0:
             raise ValueError("s and t must be positive")
 
@@ -59,9 +58,6 @@ class ChargeValue:
 
     def __post_init__(self):
         rat_fields(self, ("re", "im"))
-
-    def __add__(self, other: "ChargeValue") -> "ChargeValue":
-        return ChargeValue(self.re + other.re, self.im + other.im)
 
 
 def mu_HF(ch: CharVector) -> ExtRat:

@@ -64,7 +64,6 @@ endpoints; same for u - w via (B). `tests/test_symbolic.py` proves this too.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,13 +99,6 @@ Wall = VerticalWall | SemicircleWall
 
 class _EverywhereType:
     """Degenerate wall of proportional classes: slope equality holds everywhere."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "EVERYWHERE"
@@ -246,16 +238,9 @@ def enumerate_destabilizers(
     first (by beta), semicircles follow by descending radius^2 then center.
     """
     _check_scan_args(u, rank_bound)
-    delta = disc_bar_reduced(u)
-    if delta < 0:
-        warnings.warn(
-            "disc(u) < 0: no tilt-semistable object has this class; returning no walls",
-            stacklevel=2,
-        )
-        return []
-
-    # Doubled coordinates D = 2 d: every quantity below is an int.
-    r_u, c_u, D_u, delta = int(u.r), int(u.c), int(2 * u.dd), int(delta)
+    # Doubled coordinates D = 2 d: every quantity below is an int. The box is
+    # empty when disc(u) < 0, so no class is scanned and no wall returned.
+    r_u, c_u, D_u, delta = int(u.r), int(u.c), int(2 * u.dd), int(disc_bar_reduced(u))
     by_wall: dict[Wall, ReducedClass] = {}
     for r_w, c_lo, c_hi, d_interval in candidate_box(u, rank_bound):
         r_v = r_u - r_w

@@ -28,6 +28,20 @@ def lift(u: ReducedClass) -> CharVector:
     return CharVector(u.r, u.c, 0, u.dd, 0, 0)
 
 
+# Entrywise sum, difference and negation of lattice values (CharVector,
+# ReducedClass), which carry no arithmetic of their own.
+def add(x, y):
+    return type(x)(*(a + b for a, b in zip(x.as_tuple(), y.as_tuple())))
+
+
+def sub(x, y):
+    return type(x)(*(a - b for a, b in zip(x.as_tuple(), y.as_tuple())))
+
+
+def neg(x):
+    return type(x)(*(-a for a in x.as_tuple()))
+
+
 rats = st.fractions(min_value=-30, max_value=30, max_denominator=6)
 
 lattice_chars = st.builds(

@@ -158,7 +158,7 @@ class TestBetaBar:
         single = beta_bar(CharVector(1, 0, 0, -1, 0, 0))
         assert (doubled.b, doubled.radicand) == (Fraction(-1, 2), 8)
         assert doubled == single and hash(doubled) == hash(single)
-        assert doubled != beta_bar(CharVector(1, 0, 0, -1, 0, 0), other_root=True)
+        assert doubled != QuadRat(single.a, -single.b, single.radicand)  # the other root
 
     def test_both_roots_annihilate(self, rng):
         count = 0
@@ -171,7 +171,7 @@ class TestBetaBar:
                 continue
             count += 1
             lo = beta_bar(ch)
-            hi = beta_bar(ch, other_root=True)
+            hi = QuadRat(2 * ch.cHF / ch.r - lo.a, -lo.b, lo.radicand)  # roots sum to 2 cHF / r
             assert f_ch2_twisted(ch, lo) == QuadRat(0)
             assert f_ch2_twisted(ch, hi) == QuadRat(0)
             if ch.r > 0:  # the default branch is the smaller root

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +22,7 @@ from tiltwall import (
 from tiltwall.cli import run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+THREEFOLD = ["--genus", "0", "--degree", "3"]
 
 
 def out_of(capsys):
@@ -90,6 +92,42 @@ class TestSlope:
         )
         assert code == 0
         assert out_of(capsys)[0] == "inf"
+
+    def test_nusigma_flag_errors(self, capsys):
+        base = ["slope", "--kind", "nuSigma", "--char", "1,1,3,1/2,3/2,1/2", "--beta", "0"]
+        for flags, err in (
+            (["--alpha2", "1", *THREEFOLD], "missing required flags: --s, --t"),
+            (["--s", "1", *THREEFOLD], "missing required flags: --alpha2"),
+            (["--alpha2", "0", "--s", "1", *THREEFOLD], "alpha2 must be positive"),
+            (["--alpha2", "1", "--s", "1", "--t", "0", *THREEFOLD], "s and t must be positive"),
+            (["--alpha2", "1", "--s", "1", "--t", "1"], "this command needs --genus and --degree"),
+        ):
+            assert run(base + flags) == 2
+            assert out_of(capsys) == ("", f"error: {err}")
+
+
+class TestApprox:
+    def test_decimals_on_slope_check_and_chi(self, capsys):
+        for args, out in (
+            (["slope", "--kind", "nu", "--char", "1,1,3,1/2,3/2,1/2", "--alpha2", "1",
+              "--beta", "1/3"], "-5/12  (approx -0.416667)"),
+            (["slope", "--kind", "muC", "--char", "0,0,0,0,0,1"], "inf"),
+            (["check", "--ineq", "classical", "--char", "2,1,3,1/2,3/2,1/2", *THREEFOLD],
+             "F_defect = -1  (approx -1)\nH_defect = -3  (approx -3)\nverdict: violated"),
+            (["chi", "--char", "1,0,0,0,0,0", "--genus", "2", "--degree", "5"], "-1  (approx -1)"),
+        ):
+            run(args + ["--approx"])
+            assert out_of(capsys)[0] == out
+
+    def test_other_subcommands_ignore_it(self, capsys):
+        for args in (
+            ["walls", "--u", "1,0,-1", "--rank-bound", "2"],
+            ["chern", "--char", "1,0,0,-1,0,0", *THREEFOLD],
+            ["wall", "--u", "1,0,0", "--w", "1,1,1/2"],
+            ["support", "--alpha2", "1", "--beta", "0", "--s", "1", "--t", "1", *THREEFOLD],
+        ):
+            plain = (run(args), out_of(capsys))
+            assert (run(args + ["--approx"]), out_of(capsys)) == plain
 
 
 class TestCheck:
@@ -213,6 +251,16 @@ class TestWalls:
         svg = svg_path.read_text()
         assert svg.startswith("<svg") and "path" in svg
 
+    def test_svg_arcs_span_their_walls(self, tmp_path, capsys):
+        p = tmp_path / "walls.svg"
+        run(["walls", "--u", "1,0,-6", "--rank-bound", "2", "--svg", str(p)])
+        arcs = re.findall(r'<path d="M (\S+) (\S+) A (\S+) \S+ 0 0 1 (\S+) (\S+)"', p.read_text())
+        assert len(arcs) == 9
+        for x1, y1, rr, x2, y2 in arcs:
+            # from beta = center - r to center + r on the axis, radius r
+            assert y1 == y2 and float(x1) < float(x2)
+            assert abs(float(x2) - float(x1) - 2 * float(rr)) < 1e-3
+
     def test_svg_deterministic(self, tmp_path, capsys):
         paths = [tmp_path / "a.svg", tmp_path / "b.svg"]
         for p in paths:
@@ -298,6 +346,18 @@ class TestSupport:
         out, err = out_of(capsys)
         assert out == "no witness"
         assert err.startswith("note: Q_weak and Q_disc both vanish on v = (0,0,1,0,-1/2,7/24) in ker Z")
+
+    def test_flag_errors(self, capsys):
+        for flags, err in (
+            (THREEFOLD, "missing required flags: --alpha2, --beta, --s, --t"),
+            (["--alpha2", "1", *THREEFOLD], "missing required flags: --beta, --s, --t"),
+            (["--alpha2", "0", "--beta", "0", "--s", "1", "--t", "1", *THREEFOLD],
+             "alpha2 must be positive"),
+            (["--alpha2", "1", "--beta", "0", "--s", "1", "--t", "1"],
+             "this command needs --genus and --degree"),
+        ):
+            assert run(["support", *flags]) == 2
+            assert out_of(capsys) == ("", f"error: {err}")
 
     def test_grid_flags_exit_two(self, capsys):
         base = ["support", "--alpha2", "1", "--beta", "0", "--s", "1", "--t", "1",

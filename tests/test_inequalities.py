@@ -30,6 +30,7 @@ from tiltwall import (
 )
 from reference_formulas import chi_bounds_via_rr
 from conftest import (
+    add,
     lattice_chars,
     rand_lattice_char,
     rand_point,
@@ -75,7 +76,7 @@ class TestDiscClassical:
     def test_direct_sum_class(self, rng):
         for d in (-2, 0, 3):
             X = RuledThreefold(1, d)
-            ch = CHAR_O + line_bundle_char(1, 0, X)
+            ch = add(CHAR_O, line_bundle_char(1, 0, X))
             assert disc_classical(ch, X) == (-1, -d)
 
     @given(lattice_chars, threefolds)
@@ -136,7 +137,7 @@ class TestNabla:
 
     def test_direct_sum_substitution(self):
         X = RuledThreefold(0, 3)
-        ch = CHAR_O + line_bundle_char(1, 0, X)
+        ch = add(CHAR_O, line_bundle_char(1, 0, X))
         d = X.degree
         expected = (
             Fraction(d, 3) * 2 * Fraction(1, 2)

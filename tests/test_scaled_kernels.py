@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import reference_formulas as ref
 from conftest import (
+    neg,
     wide_betas,
     wide_charges,
     wide_chars,
@@ -194,13 +195,14 @@ class TestDegenerateLoci:
     def test_heart_branches_by_hand(self):
         X = RuledThreefold(0, 1)
         pt = TiltPoint(1, 0)
+        shifted = neg(SKYSCRAPER)
         sky = heart_sign_constraints(SKYSCRAPER, pt, X)
         assert sky.branch3_checked and sky.ch3_nonneg and sky.passes
-        neg = heart_sign_constraints(-SKYSCRAPER, pt, X)
-        assert neg.branch3_checked and not neg.ch3_nonneg and not neg.passes
+        minus = heart_sign_constraints(shifted, pt, X)
+        assert minus.branch3_checked and not minus.ch3_nonneg and not minus.passes
         torsion = heart_sign_constraints(CharVector(0, 0, 1, 0, 1, 0), pt, X)
         assert torsion.branch2_checked and not torsion.branch3_checked and torsion.passes
-        for ch in (SKYSCRAPER, -SKYSCRAPER, CharVector(0, 0, 1, 0, 1, 0), CharVector(-1, 0, 0, -1, 0, 0)):
+        for ch in (SKYSCRAPER, shifted, CharVector(0, 0, 1, 0, 1, 0), CharVector(-1, 0, 0, -1, 0, 0)):
             assert same_heart(heart_sign_constraints(ch, pt, X), ref.heart_sign_constraints(ch, pt, X))
 
     def test_skyscraper_charge_on_real_axis(self):
@@ -228,10 +230,12 @@ class TestFCh2Twisted:
 
     @given(wide_chars)
     def test_beta_bar_roots_annihilate(self, ch):
-        for other in (False, True):
-            try:
-                b = beta_bar(ch, other)
-            except ValueError:
-                return
-            got = f_ch2_twisted(ch, b)
-            assert got == 0 and (got.a, got.b, got.radicand) == ref.f_ch2_twisted(ch, b)
+        try:
+            b = beta_bar(ch)
+        except ValueError:
+            return
+        # the other root of (r/2) b^2 - cHF b + dF: the two sum to 2 cHF / r
+        other = QuadRat(2 * ch.cHF / ch.r - b.a, -b.b, b.radicand) if ch.r else b
+        for root in (b, other):
+            got = f_ch2_twisted(ch, root)
+            assert got == 0 and (got.a, got.b, got.radicand) == ref.f_ch2_twisted(ch, root)

@@ -25,7 +25,9 @@ from tiltwall import (
     twist,
 )
 from conftest import (
+    add,
     lattice_chars,
+    neg,
     rand_lattice_char,
     rand_point,
     rand_threefold,
@@ -128,7 +130,7 @@ class TestHeart:
 
     def test_shifted_structure_sheaf_passes(self):
         X = RuledThreefold(0, 3)
-        rep = heart_sign_constraints(-CHAR_O, TiltPoint(1, 0), X)
+        rep = heart_sign_constraints(neg(CHAR_O), TiltPoint(1, 0), X)
         assert rep.passes
 
     def test_skyscraper_passes_through_branch3(self):
@@ -171,14 +173,14 @@ class TestCentralCharge:
     def test_shifted_structure_sheaf_has_positive_im(self):
         X = RuledThreefold(0, 3)
         p = ChargeParams(1, 0, 1, 1)
-        z = central_charge(-CHAR_O, p, X)
+        z = central_charge(neg(CHAR_O), p, X)
         assert z.im == Fraction(1, 2)
 
     @given(lattice_chars, lattice_chars, threefolds)
     def test_linearity(self, a, b, X):
         p = ChargeParams(1, Fraction(1, 2), 1, 2)
         za, zb = central_charge(a, p, X), central_charge(b, p, X)
-        assert central_charge(a + b, p, X) == za + zb
+        assert central_charge(add(a, b), p, X) == ChargeValue(za.re + zb.re, za.im + zb.im)
 
     def test_twist_compatibility(self, rng):
         for _ in range(60):
@@ -216,7 +218,7 @@ class TestSeeSaw:
             if a.r <= 0 or b.r <= 0:
                 continue
             lo, hi = sorted([mu_HF(a), mu_HF(b)])
-            assert lo <= mu_HF(a + b) <= hi
+            assert lo <= mu_HF(add(a, b)) <= hi
 
     def test_nu_mediant_when_denominators_positive(self, rng):
         seen = 0
@@ -229,7 +231,7 @@ class TestSeeSaw:
                 continue
             seen += 1
             lo, hi = sorted([nu(a, pt), nu(b, pt)])
-            assert lo <= nu(a + b, pt) <= hi
+            assert lo <= nu(add(a, b), pt) <= hi
 
     def test_nu_mixed_mediant_when_denominators_positive(self, rng):
         seen = 0
@@ -244,7 +246,7 @@ class TestSeeSaw:
                 continue
             seen += 1
             lo, hi = sorted([nu_mixed(a, pt, t, X), nu_mixed(b, pt, t, X)])
-            assert lo <= nu_mixed(a + b, pt, t, X) <= hi
+            assert lo <= nu_mixed(add(a, b), pt, t, X) <= hi
 
 
 class TestChargeParams:

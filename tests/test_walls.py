@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from tiltwall import (
 )
 from tiltwall.chern import disc_bar_reduced
 from tiltwall.walls import candidate_bound, candidate_box
-from conftest import lift, rand_reduced
+from conftest import lift, rand_reduced, sub
 from wall_oracle import (
     covering_c_window,
     oracle_enumerate,
@@ -58,7 +59,7 @@ class TestNumericalWall:
         for _ in range(150):
             u, w = rand_reduced(rng), rand_reduced(rng)
             assert numerical_wall(u, w) == numerical_wall(w, u)
-            assert numerical_wall(u, w) == numerical_wall(u, u - w)
+            assert numerical_wall(u, w) == numerical_wall(u, sub(u, w))
 
     def test_slope_equality_on_walls(self, rng):
         seen = 0
@@ -213,6 +214,32 @@ class TestEnumerate:
         want = oracle_enumerate(u, rank_bound, covering_c_window(u, rank_bound))
         assert got == want
 
+    @pytest.mark.parametrize(
+        "u,w,rho2",
+        [
+            # rho^2 = (disc(u) - 1)^2 / 4, the largest seen for r_u != 0
+            (ReducedClass(1, 0, -6), ReducedClass(0, 1, Fraction(-13, 2)), Fraction(121, 4)),
+            (ReducedClass(1, 0, -4), ReducedClass(0, 1, Fraction(-9, 2)), Fraction(49, 4)),
+            (ReducedClass(1, 1, -3), ReducedClass(0, 1, -3), Fraction(9)),
+            (ReducedClass(-1, 1, Fraction(5, 2)), ReducedClass(-1, 0, 0), Fraction(25, 4)),
+            # rho^2 = disc(u)^2 / 4, the bound itself
+            (ReducedClass(0, 1, Fraction(-5, 2)), ReducedClass(-1, 3, Fraction(-9, 2)), Fraction(1, 4)),
+        ],
+    )
+    def test_against_lemma_free_window(self, u, w, rho2):
+        """w witnesses u's largest wall, and the scan equals a brute force over
+        the fixed window |c_w| <= 40, whose d range comes from (A)-(C) alone,
+        not from rho^2 <= disc(u)^2 / 4. The window holds the whole box, so a
+        wall outside the box would show."""
+        window, rank_bound = 40, 3
+        wall = numerical_wall(u, w)
+        assert wall.radius_sq == rho2
+        got = enumerate_destabilizers(u, rank_bound)
+        assert (w, wall) in got
+        assert max(x.radius_sq for _, x in got if isinstance(x, SemicircleWall)) == rho2
+        assert all(max(-lo, hi) < window for _, lo, hi, _ in candidate_box(u, rank_bound))
+        assert result_to_set(got) == oracle_enumerate(u, rank_bound, window)
+
     def test_against_oracle_randomized(self, rng):
         checked = regions = 0
         while checked < 40:
@@ -286,8 +313,9 @@ class TestEnumerate:
             kinds = [isinstance(w, VerticalWall) for _, w in got]
             assert kinds == sorted(kinds, reverse=True)
 
-    def test_negative_disc_warns_and_empty(self):
-        with pytest.warns(UserWarning):
+    def test_negative_disc_empty_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert enumerate_destabilizers(ReducedClass(1, 0, 1), 2) == []
 
     def test_rejects_bad_rank_bound(self):

@@ -54,8 +54,8 @@ def format_reduced(u: ReducedClass) -> str:
     return ",".join(format_rat(x) for x in u.as_tuple())
 
 
-def _twist_scaled(ch: CharVector, beta: Rat | int, d: int) -> tuple[int, list[int]]:
-    """(M, [R, C1, C2, DF, DH, E]): the twist ch * e^(-beta H) on a threefold
+def _twist_scaled(ch: CharVector, beta: Rat | int, d: int) -> tuple[int, tuple[int, ...]]:
+    """(M, (R, C1, C2, DF, DH, E)): the twist ch * e^(-beta H) on a threefold
     of degree d = H^3 as six exact integer numerators over one positive
     denominator M.
 
@@ -71,26 +71,27 @@ def _twist_scaled(ch: CharVector, beta: Rat | int, d: int) -> tuple[int, list[in
 
     These are the rational formulas e - b dH + b^2/2 cHH - b^3/6 d r (and
     their lower-degree analogues) multiplied through by M. At beta = 0 it
-    returns `ch._scaled()`, so M = L there. Every slope, charge and defect of
-    a twisted character is an integer polynomial in this output, divided once.
+    returns `ch._scaled` itself, so M = L there. Every slope, charge and
+    defect of a twisted character is an integer polynomial in this output,
+    divided once.
     M, R, C1 and DF do not involve d, so a caller reading only those (the
     tilt slope) may pass any degree.
     """
     b = as_rat(beta)
     if not b:
-        return ch._scaled()
+        return ch._scaled
     n, q = b.numerator, b.denominator
-    L, (R, C1, C2, DF, DH, E) = ch._scaled()
+    L, (R, C1, C2, DF, DH, E) = ch._scaled
     n2, q2 = n * n, q * q
     q3 = q2 * q
-    return 6 * L * q3, [
+    return 6 * L * q3, (
         6 * q3 * R,
         6 * q2 * (q * C1 - n * R),
         6 * q2 * (q * C2 - n * d * R),
         3 * q * (2 * q2 * DF - 2 * n * q * C1 + n2 * R),
         3 * q * (2 * q2 * DH - 2 * n * q * C2 + n2 * d * R),
         6 * q3 * E - 6 * n * q2 * DH + 3 * n2 * q * C2 - d * n2 * n * R,
-    ]
+    )
 
 
 def twist(ch: CharVector, beta: Rat | int, X: RuledThreefold) -> CharVector:
@@ -126,16 +127,19 @@ def beta_bar(ch: CharVector) -> QuadRat:
 
     For nonzero rank this is the minus-sign root (the smaller root when the
     rank is positive) of (r/2) b^2 - cHF b + dF. For rank zero it is dF/cHF.
+    With (r, cHF, dF) = (R, C1, DF)/L from `CharVector._scaled` the root is
+    C1/R - (L/R) sqrt((C1^2 - 2 R DF)/L^2), so each part is one
+    Fraction(numerator, denominator) and the sign test reads an int.
     """
-    r, c, dd = ch.r, ch.cHF, ch.dF
-    if r == 0:
-        if c == 0:
+    L, (R, C1, _, DF, _, _) = ch._scaled
+    if not R:
+        if not C1:
             raise ValueError("beta_bar undefined: rank and HF.ch1 both vanish")
-        return QuadRat(dd / c)
-    disc = c * c - 2 * r * dd
+        return QuadRat(Fraction(DF, C1))
+    disc = C1 * C1 - 2 * R * DF
     if disc < 0:
         raise ValueError("beta_bar domain error: negative discriminant with nonzero rank")
-    return QuadRat(c / r, -1 / r, disc)
+    return QuadRat(Fraction(C1, R), Fraction(-L, R), Fraction(disc, L * L))
 
 
 def f_ch2_twisted(ch: CharVector, b: QuadRat | Rat | int) -> QuadRat:
@@ -146,9 +150,25 @@ def f_ch2_twisted(ch: CharVector, b: QuadRat | Rat | int) -> QuadRat:
         (dF - x cHF + r (x^2 + y^2 D) / 2) + y (r x - cHF) sqrt(D),
 
     built as one QuadRat. A rational b is read as QuadRat(b), with y = D = 0.
+    Writing x = xn/xd, y = yn/yd, D = Dn/Dd, (r, cHF, dF) = (R, C1, DF)/L
+    from `CharVector._scaled` and P = yd^2 Dd, the two parts are the
+    integer quotients
+
+        (2 xd P (xd DF - xn C1) + R (xn^2 P + yn^2 Dn xd^2)) / (2 L xd^2 P)
+        yn (R xn - C1 xd) / (L xd yd),
+
+    one Fraction each; the radicand D passes through unchanged.
     """
     if not isinstance(b, QuadRat):
         b = QuadRat(b)
     x, y, D = b.a, b.b, b.radicand
-    r, c = ch.r, ch.cHF
-    return QuadRat(ch.dF - x * c + r * (x * x + y * y * D) / 2, y * (r * x - c), D)
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    L, (R, C1, _, DF, _, _) = ch._scaled
+    P = yd * yd * D.denominator
+    xd2 = xd * xd
+    rational = 2 * xd * P * (xd * DF - xn * C1) + R * (xn * xn * P + yn * yn * D.numerator * xd2)
+    return QuadRat(
+        Fraction(rational, 2 * L * xd2 * P),
+        Fraction(yn * (R * xn - C1 * xd), L * xd * yd),
+        D,
+    )

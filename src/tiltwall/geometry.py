@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactnum import Rat, format_rat, lattice_error, parse_rat, rat_fields
 
@@ -56,19 +57,26 @@ class CharVector:
     def as_tuple(self) -> tuple[Rat, Rat, Rat, Rat, Rat, Rat]:
         return (self.r, self.cHF, self.cHH, self.dF, self.dH, self.e)
 
-    def _scaled(self) -> tuple[int, list[int]]:
-        """(L, [R, C1, C2, DF, DH, E]): L is the lcm of the six denominators
-        and each capital is its coordinate times L, an int."""
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[int, int, int, int, int, int]]:
+        """(L, (R, C1, C2, DF, DH, E)): L is the lcm of the six denominators
+        and each capital is its coordinate times L, an int.
+
+        Computed at most once per value, on first read, and kept in the
+        instance `__dict__`. That is safe because the value is frozen, so
+        the numerators never go stale, and the memo is not a dataclass
+        field, so `==`, `hash`, `repr` and `fields` ignore it.
+        """
         r, c1, c2, f, h, e = self.r, self.cHF, self.cHH, self.dF, self.dH, self.e
         rq, c1q, c2q, fq, hq, eq = (
             r.denominator, c1.denominator, c2.denominator,
             f.denominator, h.denominator, e.denominator,
         )
         L = math.lcm(rq, c1q, c2q, fq, hq, eq)
-        return L, [
+        return L, (
             r.numerator * (L // rq), c1.numerator * (L // c1q), c2.numerator * (L // c2q),
             f.numerator * (L // fq), h.numerator * (L // hq), e.numerator * (L // eq),
-        ]
+        )
 
     def is_lattice(self) -> bool:
         """Integrality pattern Z, Z, Z, Z/2, Z/2, Z/6."""
@@ -100,15 +108,21 @@ def canonical_and_c2(X: RuledThreefold) -> tuple[tuple[int, int], int, int]:
 
 
 def line_bundle_char(a: int, b: int, X: RuledThreefold) -> CharVector:
-    """Character of O(aH + bF), the exponential of the divisor class."""
+    """Character of O(aH + bF), the exponential of the divisor class.
+
+    With D = aH + bF, D^2 = a^2 H^2 + 2ab HF and D^3 = a^2 (ad + 3b) pt, so
+    the entries are 1, a, ad + b, a^2/2, (a^2 d + 2ab)/2 and a^2 (ad + 3b)/6,
+    each built as one Fraction(numerator, denominator).
+    """
     d = X.degree
+    a2 = a * a
     return CharVector(
-        1,
-        a,
-        a * d + b,
-        Fraction(a * a, 2),
-        Fraction(a * a * d, 2) + a * b,
-        Fraction(a**3 * d, 6) + Fraction(a * a * b, 2),
+        Fraction(1),
+        Fraction(a),
+        Fraction(a * d + b),
+        Fraction(a2, 2),
+        Fraction(a2 * d + 2 * a * b, 2),
+        Fraction(a2 * (a * d + 3 * b), 6),
     )
 
 
@@ -134,8 +148,8 @@ def tensor_product_char(A: CharVector, B: CharVector, X: RuledThreefold) -> Char
     rational evaluation exactly.
     """
     d = X.degree
-    La, (Ra, C1a, C2a, DFa, DHa, Ea) = A._scaled()
-    Lb, (Rb, C1b, C2b, DFb, DHb, Eb) = B._scaled()
+    La, (Ra, C1a, C2a, DFa, DHa, Ea) = A._scaled
+    Lb, (Rb, C1b, C2b, DFb, DHb, Eb) = B._scaled
     L = La * Lb
     cc = C1a * C1b
     return CharVector(
@@ -158,10 +172,22 @@ def dual_char(A: CharVector) -> CharVector:
 
 
 def fiber_pushforward_char(k: int, A: CharVector) -> CharVector:
-    """Character of the pushforward from k fibers: multiply by kF, degrees shift up."""
+    """Character of the pushforward from k fibers: multiply by kF, degrees shift up.
+
+    The result is (0, 0, k r, 0, k cHF, k dF); each moved entry x becomes
+    Fraction(k * x.numerator, x.denominator).
+    """
     if not isinstance(k, int) or k <= 0:
         raise ValueError("k must be a positive integer")
-    return CharVector(0, 0, k * A.r, 0, k * A.cHF, k * A.dF)
+    r, c, f = A.r, A.cHF, A.dF
+    return CharVector(
+        Fraction(0),
+        Fraction(0),
+        Fraction(k * r.numerator, r.denominator),
+        Fraction(0),
+        Fraction(k * c.numerator, c.denominator),
+        Fraction(k * f.numerator, f.denominator),
+    )
 
 
 def euler_char(X: RuledThreefold, ch: CharVector) -> Rat:
@@ -174,7 +200,7 @@ def euler_char(X: RuledThreefold, ch: CharVector) -> Rat:
     + 12 (1 - g) R, divided once.
     """
     g, d = X.genus, X.degree
-    L, (R, C1, C2, DF, DH, E) = ch._scaled()
+    L, (R, C1, C2, DF, DH, E) = ch._scaled
     return Fraction(
         12 * (E + C2 + (1 - g) * R)
         + 6 * (3 * DH - (d + 2 * g - 2) * DF)

@@ -8,8 +8,9 @@ statement it encodes; callers report verdicts as conditional.
 Each defect is an integer polynomial evaluated once. A twisted defect reads
 ch^beta = (R, C1, C2, DF, DH, E)/M from `chern._twist_scaled` (M > 0), with
 r = R/M, and clears alpha^2 = a/A; an untwisted one reads
-ch = (R, C1, C2, DF, DH, E)/L from `CharVector._scaled`. Multiplying each
-rational formula through by its denominator gives
+ch = (R, C1, C2, DF, DH, E)/L from the property `CharVector._scaled`,
+which each value computes at most once. Multiplying each rational
+formula through by its denominator gives
 
     disc_tilde   = (C1 C2 - R DH) / M^2
     bg_main      = ((2A DF - a R)(3 DH - d DF) - (6A E - 3a C2 + 2a d C1) C1) / (6 A M^2)
@@ -41,7 +42,7 @@ from .stability import _nu_parts
 def disc_classical(ch: CharVector, X: RuledThreefold) -> tuple[Rat, Rat]:
     """Classical discriminant ch1^2 - 2 ch0 ch2 paired with F and with H."""
     d = X.degree
-    L, (R, P, C2, DF, DH, _) = ch._scaled()
+    L, (R, P, C2, DF, DH, _) = ch._scaled
     Q = C2 - P * d
     L2 = L * L
     return (
@@ -52,7 +53,7 @@ def disc_classical(ch: CharVector, X: RuledThreefold) -> tuple[Rat, Rat]:
 
 def disc_bar(ch: CharVector) -> Rat:
     """First generalized discriminant cHF^2 - 2 r dF; twist-invariant, integral on the lattice."""
-    L, (R, C1, _, DF, _, _) = ch._scaled()
+    L, (R, C1, _, DF, _, _) = ch._scaled
     return Fraction(C1 * C1 - 2 * R * DF, L * L)
 
 
@@ -65,7 +66,7 @@ def disc_tilde(ch: CharVector, beta: Rat | int, X: RuledThreefold) -> Rat:
 def nabla(ch: CharVector, X: RuledThreefold) -> Rat:
     """Defect of the strongest slope-stability inequality; vanishes on line bundles."""
     d = X.degree
-    L, (R, C1, C2, DF, DH, _) = ch._scaled()
+    L, (R, C1, C2, DF, DH, _) = ch._scaled
     return Fraction(d * (R * DF - 2 * C1 * C1) + 3 * (C1 * C2 - R * DH), 3 * L * L)
 
 
@@ -149,7 +150,7 @@ def prop42_chi_bounds(ch: CharVector, X: RuledThreefold) -> tuple[Rat, Rat]:
     Closed forms; must agree with euler_char_pair on every character.
     """
     g, d = X.genus, X.degree
-    L, (_, C1, _, DF, DH, E) = ch._scaled()
+    L, (_, C1, _, DF, DH, E) = ch._scaled
     common = 6 * E - 3 * (2 * g - 2 + d) * DF
     return (
         Fraction(common + 3 * DH - (3 * g - 3 + d) * C1, 6 * L),

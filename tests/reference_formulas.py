@@ -1,12 +1,15 @@
-"""The rational (Fraction) formulas of the slope, charge and defect functions,
-kept verbatim as the reference for the library's integer kernels.
+"""The rational (Fraction) formulas of the lattice constructors and of the
+slope, charge and defect functions, kept verbatim as the reference for the
+library's integer kernels.
 
 Each body below is the library's formula written directly in Fraction
 arithmetic. `twist` here is `reference_twist`, the rational twist formulas,
-so no reference calls an integer kernel of the library. At the end are the
-hand-expanded untwisted coefficients of Z and Gram rows of Q_weak and Q_disc,
-as plain tuples, the reference for `central_charge`, `bg_weak_defect` and
-`disc_bar`; `quad_value` evaluates a Gram at a vector.
+and `line_bundle_char`, `fiber_pushforward_char` and `beta_bar` are the
+Fraction constructors, so no reference calls an integer kernel of the
+library apart from `euler_char_pair` in `chi_bounds_via_rr`. At the end are
+the hand-expanded untwisted coefficients of Z and Gram rows of Q_weak and
+Q_disc, as plain tuples, the reference for `central_charge`,
+`bg_weak_defect` and `disc_bar`; `quad_value` evaluates a Gram at a vector.
 """
 
 from fractions import Fraction
@@ -25,8 +28,6 @@ from tiltwall import (
     RuledThreefold,
     TiltPoint,
     euler_char_pair,
-    fiber_pushforward_char,
-    line_bundle_char,
 )
 from tiltwall.exactnum import Rat
 
@@ -46,6 +47,39 @@ def reference_twist(ch, beta, X):
 
 
 twist = reference_twist
+
+
+def line_bundle_char(a: int, b: int, X: RuledThreefold) -> CharVector:
+    """Character of O(aH + bF), the exponential of the divisor class."""
+    d = X.degree
+    return CharVector(
+        1,
+        a,
+        a * d + b,
+        Fraction(a * a, 2),
+        Fraction(a * a * d, 2) + a * b,
+        Fraction(a**3 * d, 6) + Fraction(a * a * b, 2),
+    )
+
+
+def fiber_pushforward_char(k: int, A: CharVector) -> CharVector:
+    """Character of the pushforward from k fibers: multiply by kF, degrees shift up."""
+    if not isinstance(k, int) or k <= 0:
+        raise ValueError("k must be a positive integer")
+    return CharVector(0, 0, k * A.r, 0, k * A.cHF, k * A.dF)
+
+
+def beta_bar(ch: CharVector) -> QuadRat:
+    """The twist parameter at which the twisted F.ch2 vanishes."""
+    r, c, dd = ch.r, ch.cHF, ch.dF
+    if r == 0:
+        if c == 0:
+            raise ValueError("beta_bar undefined: rank and HF.ch1 both vanish")
+        return QuadRat(dd / c)
+    disc = c * c - 2 * r * dd
+    if disc < 0:
+        raise ValueError("beta_bar domain error: negative discriminant with nonzero rank")
+    return QuadRat(c / r, -1 / r, disc)
 
 
 def nu(ch: CharVector, pt: TiltPoint) -> ExtRat:

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError, astuple, fields
 from fractions import Fraction
 
 import pytest
@@ -317,6 +318,36 @@ class TestCoercion:
             entries[i] = 0.1
             with pytest.raises(TypeError):
                 CharVector(*entries)
+
+
+class TestScaledMemo:
+    """`CharVector._scaled` is computed once per value, on first read, and is
+    not part of the value."""
+
+    @staticmethod
+    def odd() -> CharVector:
+        return CharVector(Fraction(1, 2), 3, Fraction(-5, 7), 0, 1, Fraction(1, 6))
+
+    def test_read_once_on_demand(self):
+        ch = self.odd()
+        assert "_scaled" not in vars(ch)
+        assert ch._scaled is ch._scaled
+        assert ch._scaled == (42, (21, 126, -30, 0, 42, 7))
+        assert "_scaled" in vars(ch)
+
+    def test_not_part_of_the_value(self):
+        a, b = self.odd(), self.odd()
+        a._scaled
+        assert "_scaled" in vars(a) and "_scaled" not in vars(b)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert [f.name for f in fields(a)] == ["r", "cHF", "cHH", "dF", "dH", "e"]
+        assert len(astuple(a)) == 6
+
+    def test_still_frozen(self):
+        ch = self.odd()
+        ch._scaled
+        with pytest.raises(FrozenInstanceError):
+            ch.r = 1
 
 
 class TestSerialization:

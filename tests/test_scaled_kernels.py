@@ -1,9 +1,11 @@
-"""The integer slope, charge and defect kernels against their rational formulas.
+"""The integer lattice, slope, charge and defect kernels against their
+rational formulas.
 
 `reference_formulas` keeps each function's Fraction body verbatim; every
 kernel must return the same value, of the same type, on non-lattice
 characters, twists and parameters with large denominators, and on the
-degenerate loci (c_beta = 0, rank 0, the heart cascade's branches 2 and 3).
+degenerate loci (c_beta = 0, rank 0, the heart cascade's branches 2 and 3,
+beta_bar's domain errors and rational roots).
 """
 
 from fractions import Fraction
@@ -45,6 +47,7 @@ from tiltwall import (
     euler_char,
     f_ch2_twisted,
     fiber_bogomolov_defect,
+    fiber_pushforward_char,
     heart_sign_constraints,
     line_bundle_char,
     liu_abcd,
@@ -61,6 +64,8 @@ ODD_CHAR = CharVector(
 ODD_POINT = TiltPoint(Fraction(999999, 7), Fraction(-999999999989, 10**12))
 ODD_CHARGE = ChargeParams(Fraction(13, 999), Fraction(-5, 11), Fraction(17, 10**6), Fraction(7, 3))
 
+wide_ints = st.integers(-(10**6), 10**6)
+
 
 def same_rat(got, want) -> bool:
     return type(got) is Fraction and got == want
@@ -68,6 +73,28 @@ def same_rat(got, want) -> bool:
 
 def same_rats(got, want) -> bool:
     return type(got) is tuple and len(got) == len(want) and all(map(same_rat, got, want))
+
+
+def same_char(got, want) -> bool:
+    return type(got) is CharVector and all(map(same_rat, got.as_tuple(), want.as_tuple()))
+
+
+def same_quad(got, want) -> bool:
+    """Same parts, each a Fraction, and so the same printed form."""
+    parts = (got.a, got.b, got.radicand)
+    return (
+        type(got) is QuadRat
+        and all(map(same_rat, parts, (want.a, want.b, want.radicand)))
+        and str(got) == str(want)
+    )
+
+
+def outcome(f, *args):
+    """f(*args), or the text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as err:
+        return str(err)
 
 
 def same_slope(got, want) -> bool:
@@ -212,21 +239,67 @@ class TestDegenerateLoci:
         assert nu_sigma(SKYSCRAPER, p, X).is_infinite
 
 
+class TestLatticeConstructors:
+    @given(wide_ints, wide_ints, wide_threefolds)
+    @example(0, 0, RuledThreefold(0, 1))
+    @example(1, 0, RuledThreefold(0, 3))
+    @example(-3, 7, RuledThreefold(2, -5))
+    def test_line_bundle_char(self, a, b, X):
+        assert same_char(line_bundle_char(a, b, X), ref.line_bundle_char(a, b, X))
+
+    @given(st.integers(1, 10**6), wide_chars)
+    @example(1, ODD_CHAR)
+    @example(6, CHAR_O)
+    def test_fiber_pushforward_char(self, k, ch):
+        assert same_char(fiber_pushforward_char(k, ch), ref.fiber_pushforward_char(k, ch))
+
+    @given(st.one_of(wide_chars, wide_chars.map(lambda ch: CharVector(0, *ch.as_tuple()[1:]))))
+    @example(ODD_CHAR)
+    @example(CharVector(1, 0, 0, -1, 0, 0))
+    @example(CharVector(2, 0, 0, -2, 0, 0))
+    def test_beta_bar(self, ch):
+        got, want = outcome(beta_bar, ch), outcome(ref.beta_bar, ch)
+        assert got == want if isinstance(want, str) else same_quad(got, want)
+
+    @pytest.mark.parametrize(
+        "ch, start",
+        [
+            (CharVector(0, 0, 1, 2, 3, 4), "beta_bar undefined"),
+            (CharVector(0, 0, Fraction(1, 3), Fraction(5, 7), 0, Fraction(1, 6)), "beta_bar undefined"),
+            (CharVector(1, 0, 0, 1, 0, 0), "beta_bar domain"),
+            (CharVector(Fraction(2, 3), Fraction(1, 5), 0, Fraction(7, 9), 0, 0), "beta_bar domain"),
+        ],
+    )
+    def test_beta_bar_domain_errors(self, ch, start):
+        """Rank 0 with cHF = 0, and a negative discriminant: the same message."""
+        got = outcome(beta_bar, ch)
+        assert got.startswith(start) and got == outcome(ref.beta_bar, ch)
+
+    @given(wide_rats.filter(bool), wide_rats, wide_rats.filter(bool))
+    @example(Fraction(1), Fraction(1), Fraction(1))
+    @example(Fraction(-7, 999983), Fraction(5, 3), Fraction(1, 3))
+    def test_beta_bar_rational_root(self, r, c, s):
+        """A perfect-square discriminant c^2 - 2 r dF = s^2 normalises b to 0."""
+        ch = CharVector(r, c, 0, (c * c - s * s) / (2 * r), 0, 0)
+        got = beta_bar(ch)
+        assert got.b == 0 and got.radicand == 0 and got == (c - abs(s)) / r
+        assert same_quad(got, ref.beta_bar(ch))
+
+
 class TestFCh2Twisted:
     @given(wide_chars, wide_rats, wide_rats, wide_pos_rats)
     @example(CharVector(1, 0, 0, 0, 0, 0), Fraction(1, 3), Fraction(2, 7), Fraction(2))
     @example(CharVector(1, 0, 0, 0, 0, 0), Fraction(1, 3), Fraction(2, 7), Fraction(9, 4))
     def test_quadratic_argument(self, ch, x, y, D):
         b = QuadRat(x, y, D)
-        got = f_ch2_twisted(ch, b)
-        assert type(got) is QuadRat
-        assert (got.a, got.b, got.radicand) == ref.f_ch2_twisted(ch, b)
-        assert all(type(v) is Fraction for v in (got.a, got.b, got.radicand))
+        assert same_quad(f_ch2_twisted(ch, b), QuadRat(*ref.f_ch2_twisted(ch, b)))
 
     @given(wide_chars, st.one_of(st.integers(-50, 50), wide_rats))
+    @example(ODD_CHAR, 0)
+    @example(ODD_CHAR, Fraction(-5, 11))
     def test_rational_argument(self, ch, b):
         got = f_ch2_twisted(ch, b)
-        assert (got.a, got.b, got.radicand) == ref.f_ch2_twisted(ch, b)
+        assert got.b == 0 and same_quad(got, QuadRat(*ref.f_ch2_twisted(ch, b)))
 
     @given(wide_chars)
     def test_beta_bar_roots_annihilate(self, ch):

@@ -3,42 +3,28 @@ reduction to the rank-3 class, and the twisted-vanishing parameter beta_bar."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QuadRat, Rat, as_rat, format_rat, lattice_error, parse_rat, rat_fields
+from .exactnum import QuadRat, Rat, Record, as_rat, format_rat, lattice_error, parse_rat
 from .geometry import CharVector, RuledThreefold, line_bundle_char, tensor_product_char
 
 
-@dataclass(frozen=True)
-class ReducedClass:
+class ReducedClass(Record):
     """Image (ch0, HF.ch1, F.ch2) of a character; tilt slopes factor through it."""
 
+    FIELDS = ("r", "c", "dd")
     LATTICE = (("r", 1), ("c", 1), ("d", 2))
-
-    r: Rat
-    c: Rat
-    dd: Rat
-
-    def __post_init__(self):
-        rat_fields(self, ("r", "c", "dd"))
-
-    def as_tuple(self) -> tuple[Rat, Rat, Rat]:
-        return (self.r, self.c, self.dd)
 
     def is_lattice(self) -> bool:
         return lattice_error(self) is None
 
 
-@dataclass(frozen=True)
-class TiltPoint:
+class TiltPoint(Record):
     """Point of the stability half-plane, carried as (alpha^2, beta) with alpha^2 > 0."""
 
-    alpha2: Rat
-    beta: Rat
+    FIELDS = ("alpha2", "beta")
 
-    def __post_init__(self):
-        rat_fields(self, ("alpha2", "beta"))
+    def _check(self):
         if self.alpha2 <= 0:
             raise ValueError("alpha2 must be positive")
 

@@ -114,21 +114,24 @@ def _point(text):
 MAX_WALL_CANDIDATES = 1_000_000
 
 
+class ConfigGiven(Exception):
+    """Raised as the type of `--config`, once argparse has resolved every flag."""
+
+
+def _config_given(path):
+    raise ConfigGiven
+
+
 def apply_config(argv: list[str]) -> list[str]:
     """Splice a config file's `key = value` entries in as flags right after the
-    subcommand. argparse keeps a flag's last value, so the flags given on the
-    command line, which come later, win in every spelling it accepts; it also
-    applies its type, choice and unknown-flag rules to the entries."""
-    locate = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    subcommand, in place of `--config FILE`, once a parse has met `--config`
+    (so no flag is ambiguous). argparse keeps a flag's last value, so flags on
+    the command line win in every spelling; it checks each entry as a flag."""
+    locate = argparse.ArgumentParser(add_help=False)
     locate.add_argument("--config")
-    try:
-        path = locate.parse_known_args(argv)[0].config
-    except argparse.ArgumentError:
-        return argv  # the full parse reports it
-    if path is None:
-        return argv
+    found, argv = locate.parse_known_args(argv)
     extra: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(found.config, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -459,7 +462,9 @@ def _common_flags(format_default: str) -> argparse.ArgumentParser:
     objects, so `set_defaults(format=...)` on one would change every
     subcommand's default: `wall` gets a parent of its own instead."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value file supplying default flags")
+    common.add_argument(
+        "--config", type=_config_given, help="key = value file supplying default flags"
+    )
     common.add_argument("--format", choices=("text", "json"), default=format_default)
     common.add_argument("--approx", action="store_true", help="add decimal approximations")
     common.add_argument("--genus", type=int, default=None)
@@ -540,8 +545,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        argv = apply_config(list(argv))
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except ConfigGiven:
+            args = parser.parse_args(apply_config(list(argv)))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except (CLIInputError, OSError) as exc:

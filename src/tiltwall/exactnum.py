@@ -2,11 +2,12 @@
 
 Everything downstream computes over plain rationals (``fractions.Fraction``,
 aliased ``Rat``) and rationals extended by ``+inf`` (``ExtRat``, ordered
-but without arithmetic). ``QuadRat`` holds a quadratic irrational
-``a + b*sqrt(D)``, the twist parameter ``beta_bar``, as an exact value that
-is constructed, compared for equality and formatted, with no arithmetic of
-its own. No floating point enters any verdict; floats appear only in SVG
-coordinate rendering.
+but without arithmetic). Each value type of the package is a ``Record``:
+immutable, with its fields named once and, by default, rational.
+``QuadRat`` holds a quadratic irrational ``a + b*sqrt(D)``, the twist
+parameter ``beta_bar``, as an exact value that is constructed, compared for
+equality and formatted, with no arithmetic of its own. No floating point
+enters any verdict; floats appear only in SVG coordinate rendering.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import re
 from fractions import Fraction
 from functools import total_ordering
+from operator import attrgetter
 
 Rat = Fraction
 
@@ -40,13 +42,61 @@ def as_rat(x: Rat | int) -> Rat:
     return Fraction(x)
 
 
-def rat_fields(obj, names: tuple[str, ...]) -> None:
-    """Apply `as_rat` to the named fields of a frozen dataclass instance,
-    writing back only the ones that were not already Fractions."""
-    for name in names:
-        x = getattr(obj, name)
-        if type(x) is not Fraction:
-            object.__setattr__(obj, name, as_rat(x))
+class Record:
+    """Immutable value; a subclass names its fields once, in `FIELDS`.
+
+    Built by position or keyword (TypeError on a wrong count or an unknown or
+    repeated name). A value that is not a Fraction goes through `_coerce`
+    (`as_rat`; None keeps it) and `_check` may reject the fields. `==` holds
+    within one class only; `hash`, `repr` and `as_tuple` read the same fields.
+    Setting or deleting one raises AttributeError (`cached_property` works).
+    """
+
+    FIELDS: tuple[str, ...] = ()
+    _coerce = staticmethod(as_rat)
+
+    def __init_subclass__(cls):
+        # all fields in one C-level read, a tuple even for one field
+        get = attrgetter(*cls.FIELDS)
+        cls._values = get if len(cls.FIELDS) > 1 else staticmethod(lambda x: (get(x),))
+
+    def __init__(self, *args, **kwargs):
+        names = self.FIELDS
+        if kwargs or len(args) != len(names):
+            rest = names[len(args):]
+            if len(args) > len(names) or kwargs.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+            args += tuple(kwargs[name] for name in rest)
+        coerce = self._coerce
+        # in FIELDS order, so that all instances share one dict key table
+        for name, value in zip(names, args):
+            if coerce is not None and type(value) is not Fraction:
+                value = coerce(value)
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Raise ValueError when the fields break the type's invariant."""
+
+    def as_tuple(self) -> tuple:
+        return self._values(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.FIELDS, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 _MULTIPLE = {1: "an integer", 2: "a half-integer", 6: "a sixth-integer"}

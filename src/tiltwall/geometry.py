@@ -15,47 +15,31 @@ inside the type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exactnum import Rat, format_rat, lattice_error, parse_rat, rat_fields
+from .exactnum import Rat, Record, format_rat, lattice_error, parse_rat
 
 
-@dataclass(frozen=True)
-class RuledThreefold:
+class RuledThreefold(Record):
     """P(E) over a curve of genus `genus` with H^3 = deg E = `degree`."""
 
-    genus: int
-    degree: int
+    FIELDS = ("genus", "degree")
+    _coerce = None  # ints, checked below
 
-    def __post_init__(self):
-        if not isinstance(self.genus, int) or isinstance(self.genus, bool):
-            raise ValueError("genus must be an integer")
-        if not isinstance(self.degree, int) or isinstance(self.degree, bool):
-            raise ValueError("degree must be an integer")
+    def _check(self):
+        for name, x in zip(self.FIELDS, self.as_tuple()):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"{name} must be an integer")
         if self.genus < 0:
             raise ValueError("genus must be nonnegative")
 
 
-@dataclass(frozen=True)
-class CharVector:
+class CharVector(Record):
     """Point of the rank-6 numerical Chern lattice, coordinates (r, cHF, cHH, dF, dH, e)."""
 
+    FIELDS = ("r", "cHF", "cHH", "dF", "dH", "e")
     LATTICE = (("r", 1), ("cHF", 1), ("cHH", 1), ("dF", 2), ("dH", 2), ("e", 6))
-
-    r: Rat
-    cHF: Rat
-    cHH: Rat
-    dF: Rat
-    dH: Rat
-    e: Rat
-
-    def __post_init__(self):
-        rat_fields(self, ("r", "cHF", "cHH", "dF", "dH", "e"))
-
-    def as_tuple(self) -> tuple[Rat, Rat, Rat, Rat, Rat, Rat]:
-        return (self.r, self.cHF, self.cHH, self.dF, self.dH, self.e)
 
     @cached_property
     def _scaled(self) -> tuple[int, tuple[int, int, int, int, int, int]]:
@@ -64,8 +48,8 @@ class CharVector:
 
         Computed at most once per value, on first read, and kept in the
         instance `__dict__`. That is safe because the value is frozen, so
-        the numerators never go stale, and the memo is not a dataclass
-        field, so `==`, `hash`, `repr` and `fields` ignore it.
+        the numerators never go stale, and the memo is not in `FIELDS`, so
+        `==`, `hash`, `repr` and `as_tuple` ignore it.
         """
         r, c1, c2, f, h, e = self.r, self.cHF, self.cHH, self.dF, self.dH, self.e
         rq, c1q, c2q, fq, hq, eq = (

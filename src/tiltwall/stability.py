@@ -24,25 +24,19 @@ ints, so every value equals the rational evaluation exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import TiltPoint, _twist_scaled
-from .exactnum import INFINITY, ExtRat, Rat, as_rat, rat_fields
+from .exactnum import INFINITY, ExtRat, Rat, Record, as_rat
 from .geometry import CharVector, RuledThreefold
 
 
-@dataclass(frozen=True)
-class ChargeParams:
+class ChargeParams(Record):
     """Parameters (alpha^2, beta, s, t) of the central charge, s and t positive."""
 
-    alpha2: Rat
-    beta: Rat
-    s: Rat
-    t: Rat
+    FIELDS = ("alpha2", "beta", "s", "t")
 
-    def __post_init__(self):
-        rat_fields(self, ("alpha2", "beta", "s", "t"))
+    def _check(self):
         self.tilt_point()  # checks alpha2
         if self.s <= 0 or self.t <= 0:
             raise ValueError("s and t must be positive")
@@ -51,13 +45,8 @@ class ChargeParams:
         return TiltPoint(self.alpha2, self.beta)
 
 
-@dataclass(frozen=True)
-class ChargeValue:
-    re: Rat
-    im: Rat
-
-    def __post_init__(self):
-        rat_fields(self, ("re", "im"))
+class ChargeValue(Record):
+    FIELDS = ("re", "im")
 
 
 def mu_HF(ch: CharVector) -> ExtRat:
@@ -111,20 +100,15 @@ def nu_mixed(ch: CharVector, pt: TiltPoint, t: Rat | int, X: RuledThreefold) -> 
     return ExtRat(Fraction(2 * A * (td * DH + tn * DF) - a * tn * R, 2 * A * td * C1))
 
 
-@dataclass(frozen=True)
-class HeartReport:
+class HeartReport(Record):
     """Exact evaluation of the sign cascade necessary for heart membership.
 
     Checks not reached by the cascade are reported True.
     """
 
-    hf_ch1_nonneg: bool
-    branch2_checked: bool
-    h_ch2_nonneg: bool
-    f_ch2_nonneg: bool
-    rank_nonpos: bool
-    branch3_checked: bool
-    ch3_nonneg: bool
+    FIELDS = ("hf_ch1_nonneg", "branch2_checked", "h_ch2_nonneg", "f_ch2_nonneg",
+              "rank_nonpos", "branch3_checked", "ch3_nonneg")
+    _coerce = None  # bools
 
     @property
     def passes(self) -> bool:

@@ -24,22 +24,19 @@ so the check is exact, and the twist is written out only in `chern`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from .exactnum import Rat, as_rat
+from .exactnum import Rat, Record, as_rat
 from .geometry import CharVector, RuledThreefold
 from .inequalities import bg_weak_defect, disc_bar
 from .stability import ChargeParams, central_charge
 
 
 # Never built; bench/ reads it and calls verify_support positionally. ROADMAP item 1 removes both.
-@dataclass(frozen=True)
-class SupportWitness:
-    lam: Rat
-    mu: Rat
-    form: tuple[tuple[Rat, ...], ...]
+class SupportWitness(Record):
+    FIELDS = ("lam", "mu", "form")
+    _coerce = None
 
 
 def null_kernel_vector(p: ChargeParams, X: RuledThreefold) -> tuple[Rat, ...]:

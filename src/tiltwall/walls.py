@@ -64,32 +64,24 @@ endpoints; same for u - w via (B). `tests/test_symbolic.py` proves this too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import ReducedClass, TiltPoint, disc_bar_reduced
-from .exactnum import Rat, ceil_sqrt, rat_fields
+from .exactnum import Record, ceil_sqrt
 
 
-@dataclass(frozen=True)
-class VerticalWall:
+class VerticalWall(Record):
     """Ray parallel to the alpha-axis at a fixed beta."""
 
-    beta: Rat
-
-    def __post_init__(self):
-        rat_fields(self, ("beta",))
+    FIELDS = ("beta",)
 
 
-@dataclass(frozen=True)
-class SemicircleWall:
+class SemicircleWall(Record):
     """Semicircle centered on the beta-axis, stored as (center, radius^2)."""
 
-    center: Rat
-    radius_sq: Rat
+    FIELDS = ("center", "radius_sq")
 
-    def __post_init__(self):
-        rat_fields(self, ("center", "radius_sq"))
+    def _check(self):
         if self.radius_sq <= 0:
             raise ValueError("semicircle needs positive squared radius")
 

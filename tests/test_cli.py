@@ -444,9 +444,40 @@ class TestConfigAndRoundTrip:
     def test_abbreviated_config_flag_is_read(self, tmp_path, capsys):
         cfg = tmp_path / "g.cfg"
         cfg.write_text("genus = 2\n")
-        for flag in (["--conf", str(cfg)], [f"--conf={cfg}"]):
+        for flag in (["--conf", str(cfg)], [f"--conf={cfg}"], ["--config", str(cfg)]):
             assert run(["chi", "--char", "1,0,0,0,0,0", "--degree", "1", *flag]) == 0
             assert out_of(capsys) == ("-1", "")
+
+    def test_ambiguous_config_prefix_is_a_usage_error(self, tmp_path, capsys):
+        # `--c` is a prefix of --config and --char (or --csv): argparse reports
+        # it before the named file is opened, so a missing file does not show
+        missing = str(tmp_path / "missing.cfg")
+        for command in (
+            ["chi", "--char", "1,0,0,0,0,0", "--genus", "0", "--degree", "1"],
+            ["walls", "--u", "1,0,-1", "--rank-bound", "1"],
+            ["chern"], ["slope", "--kind", "nu"], ["check", "--ineq", "weak"],
+        ):
+            for flag in (["--c", missing], [f"--c={missing}"]):
+                assert run(command + flag) == 2
+                out, err = out_of(capsys)
+                assert out == "" and "error: ambiguous option: --c" in err
+                assert "No such file" not in err and err.startswith("usage:")
+
+    def test_unambiguous_config_prefix_is_read(self, tmp_path, capsys):
+        # in `wall` no other flag starts with --c, so `--c FILE` is --config
+        cfg = tmp_path / "j.cfg"
+        cfg.write_text("format = text\n")
+        assert run(["wall", "--u", "1,0,0", "--w", "0,0,1", "--c", str(cfg)]) == 0
+        assert out_of(capsys) == ("vertical beta=0", "")
+        assert run(["wall", "--u", "1,0,0", "--w", "0,0,1", "--c", str(tmp_path / "no.cfg")]) == 2
+        assert "No such file" in out_of(capsys)[1]
+
+    def test_last_config_flag_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("genus = 2\n")
+        base = ["chi", "--char", "1,0,0,0,0,0", "--degree", "1"]
+        assert run(base + ["--config", str(tmp_path / "no.cfg"), "--conf", str(cfg)]) == 0
+        assert out_of(capsys) == ("-1", "")
 
     def test_abbreviated_format_beats_config(self, tmp_path, capsys):
         cfg = tmp_path / "j.cfg"

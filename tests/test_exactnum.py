@@ -5,6 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tiltwall import (
+    ChargeParams,
+    ChargeValue,
+    CharVector,
+    HeartReport,
+    ReducedClass,
+    RuledThreefold,
+    SemicircleWall,
+    TiltPoint,
+    VerticalWall,
+)
 from tiltwall.exactnum import (
     INFINITY,
     ExtRat,
@@ -166,3 +177,83 @@ class TestExtRat:
             for op in ops[2:]:
                 with pytest.raises(TypeError):
                     op(a, b)
+
+
+# One value of each record type, with its field names in order. The three
+# two-field rational types share their values, for the cross-type check.
+NOT_RATIONAL = (RuledThreefold, HeartReport)
+RECORDS = [
+    (CharVector, ("r", "cHF", "cHH", "dF", "dH", "e"), (Fraction(1, 2), 3, 0, -1, 1, Fraction(1, 6))),
+    (ReducedClass, ("r", "c", "dd"), (1, 0, Fraction(-1, 2))),
+    (TiltPoint, ("alpha2", "beta"), (Fraction(1, 2), Fraction(1, 4))),
+    (ChargeParams, ("alpha2", "beta", "s", "t"), (1, 0, 2, Fraction(1, 3))),
+    (ChargeValue, ("re", "im"), (Fraction(1, 2), Fraction(1, 4))),
+    (VerticalWall, ("beta",), (Fraction(-3, 2),)),
+    (SemicircleWall, ("center", "radius_sq"), (Fraction(1, 2), Fraction(1, 4))),
+    (RuledThreefold, ("genus", "degree"), (0, 3)),
+    (HeartReport, ("hf_ch1_nonneg", "branch2_checked", "h_ch2_nonneg", "f_ch2_nonneg",
+                   "rank_nonpos", "branch3_checked", "ch3_nonneg"), (True, False) * 3 + (True,)),
+]
+
+
+@pytest.mark.parametrize("cls,names,values", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+class TestRecord:
+    def test_position_or_keyword(self, cls, names, values):
+        x = cls(*values)
+        assert x.as_tuple() == values
+        assert tuple(getattr(x, n) for n in names) == values
+        assert cls(**dict(zip(names, values))) == x
+        assert cls(*values[:1], **dict(zip(names[1:], values[1:]))) == x
+        # rational fields are stored as Fractions, the others as given
+        rational = cls not in NOT_RATIONAL
+        assert [type(v) for v in x.as_tuple()] == [Fraction if rational else type(v) for v in values]
+
+    def test_bad_arguments(self, cls, names, values):
+        for args, kwargs in (
+            (values[:-1], {}),
+            (values + values[:1], {}),
+            ((), dict(zip(names[:-1], values[:-1]))),
+            (values, {"extra": 1}),
+            (values[:-1], {"extra": values[-1]}),
+            (values, {names[0]: values[0]}),
+        ):
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+    def test_immutable(self, cls, names, values):
+        x = cls(*values)
+        for action in (
+            lambda: setattr(x, names[0], values[0]),
+            lambda: setattr(x, "other", 1),
+            lambda: delattr(x, names[-1]),
+        ):
+            with pytest.raises(AttributeError):
+                action()
+        assert x.as_tuple() == values and not hasattr(x, "other")
+
+    def test_equality_and_hash(self, cls, names, values):
+        x, y = cls(*values), cls(*values)
+        assert x == y and not x != y and hash(x) == hash(y) == hash(values)
+        assert x != values
+        # no equality across types, even over the same field values
+        for other, _, other_values in RECORDS:
+            if other is not cls:
+                assert x != other(*other_values)
+                if other_values == values:
+                    assert x != other(*values) and other(*values) != x
+
+
+class TestRecordRepr:
+    def test_repr_pinned(self):
+        assert repr(CharVector(Fraction(1, 2), 3, Fraction(-5, 7), 0, 1, Fraction(1, 6))) == (
+            "CharVector(r=Fraction(1, 2), cHF=Fraction(3, 1), cHH=Fraction(-5, 7), "
+            "dF=Fraction(0, 1), dH=Fraction(1, 1), e=Fraction(1, 6))"
+        )
+        assert repr(SemicircleWall(Fraction(-3, 2), Fraction(1, 4))) == (
+            "SemicircleWall(center=Fraction(-3, 2), radius_sq=Fraction(1, 4))"
+        )
+        assert repr(HeartReport(True, False, True, True, False, False, True)) == (
+            "HeartReport(hf_ch1_nonneg=True, branch2_checked=False, h_ch2_nonneg=True, "
+            "f_ch2_nonneg=True, rank_nonpos=False, branch3_checked=False, ch3_nonneg=True)"
+        )
+        assert repr(RuledThreefold(genus=0, degree=3)) == "RuledThreefold(genus=0, degree=3)"

@@ -5,12 +5,15 @@ Every absolute import in `src/tiltwall/*.py` must name a top-level module in
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "tiltwall").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "tiltwall").glob("*.py"))
 
 
 def absolute_imports(path: Path) -> list[str]:
@@ -39,3 +42,15 @@ def test_detects_a_third_party_import(tmp_path):
     src.write_text("import os\nfrom hypothesis import given\nfrom . import chern\n")
     assert absolute_imports(src) == ["os", "hypothesis"]
     assert "hypothesis" not in sys.stdlib_module_names
+
+
+def test_cli_import_skips_heavy_modules():
+    """`import tiltwall.cli` runs before every command, so it loads none of the
+    modules that code generation or typing would pull in."""
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "typing"]
+    probe = f"import sys, tiltwall.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -69,7 +69,6 @@ from .walls import (
     VerticalWall,
     Wall,
     enumerate_destabilizers,
-    largest_wall,
     numerical_wall,
     walls_meet,
 )

@@ -11,7 +11,6 @@ vector that rules out its whole family of forms.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -51,7 +50,6 @@ from .inequalities import (
     fiber_bogomolov_defect,
     nabla,
 )
-from .selftest import run_selftest
 from .stability import ChargeParams, mu_C, mu_HF, nu, nu_mixed, nu_sigma
 from .support import null_kernel_vector
 from .walls import (
@@ -73,7 +71,7 @@ def _type(parser_fn, what):
     def convert(text):
         try:
             return parser_fn(text)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad {what}: {exc}") from exc
 
     return convert
@@ -359,6 +357,8 @@ def _cmd_support(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     results = run_selftest(args.seed)
     failed_total = 0
     for name, checks, fails in results:
@@ -373,6 +373,8 @@ def _cmd_selftest(args) -> int:
 
 
 def emit_csv(found: list[tuple[ReducedClass, Wall]], path: str) -> None:
+    import csv
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["w_r", "w_c", "w_d", "wall_type", "center", "radius_sq"])
@@ -549,13 +551,12 @@ def run(argv: list[str]) -> int:
             args = parser.parse_args(argv)
         except ConfigGiven:
             args = parser.parse_args(apply_config(list(argv)))
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except (CLIInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ConfigGiven:
+        print("error: a config file cannot name another config file", file=sys.stderr)
         return 2
-    try:
-        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
 """Exact number types.
 
 Everything downstream computes over plain rationals (``fractions.Fraction``,
-aliased ``Rat``) and rationals extended by ``+inf`` (``ExtRat``, ordered
-but without arithmetic). Each value type of the package is a ``Record``:
-immutable, with its fields named once and, by default, rational.
+aliased ``Rat``) and rationals extended by ``+inf`` (``ExtRat``, compared
+for equality only, without arithmetic or ordering). Each value type of the
+package is a ``Record``: immutable, with its fields named once and, by
+default, rational.
 ``QuadRat`` holds a quadratic irrational ``a + b*sqrt(D)``, the twist
 parameter ``beta_bar``, as an exact value that is constructed, compared for
 equality and formatted, with no arithmetic of its own. No floating point
@@ -15,12 +16,11 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import total_ordering
 from operator import attrgetter
 
 Rat = Fraction
 
-_RAT_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+_RAT_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
 
 
 def parse_rat(text: str) -> Rat:
@@ -119,10 +119,9 @@ def format_rat(q: Rat | int) -> str:
 
 
 def rat_sqrt(q: Rat | int) -> Rat | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
+    """Exact square root of a nonnegative rational, or None if irrational.
+    A negative q raises ValueError (from `math.isqrt`)."""
     q = as_rat(q)
-    if q < 0:
-        raise ValueError("negative radicand")
     rn = math.isqrt(q.numerator)
     rd = math.isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
@@ -141,13 +140,12 @@ def ceil_sqrt(q: Rat | int) -> int:
     return n
 
 
-@total_ordering
 class ExtRat:
-    """A rational number or +infinity, totally ordered.
+    """A rational number or +infinity, as a slope function returns it.
 
-    It carries no arithmetic: callers unwrap `.value` first. Two infinite
-    values compare equal (slope comparisons rely on this).
-    Only == and < are written out; total_ordering derives the rest.
+    It carries no arithmetic and no ordering: callers unwrap `.value` first.
+    Two slopes compare equal when both are infinite or both have the same
+    value.
     """
 
     __slots__ = ("_v",)
@@ -165,31 +163,10 @@ class ExtRat:
             raise ValueError("infinite value has no rational part")
         return self._v
 
-    def _cmp_key(self, other):
-        if isinstance(other, ExtRat):
-            return other._v
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other)
-        return NotImplemented
-
     def __eq__(self, other):
-        k = self._cmp_key(other)
-        if k is NotImplemented:
+        if not isinstance(other, ExtRat):
             return NotImplemented
-        return self._v == k
-
-    def __hash__(self):
-        return hash(self._v)
-
-    def __lt__(self, other):
-        k = self._cmp_key(other)
-        if k is NotImplemented:
-            return NotImplemented
-        if self._v is None:
-            return False
-        if k is None:
-            return True
-        return self._v < k
+        return self._v == other._v
 
     def __repr__(self):
         return f"ExtRat({'inf' if self._v is None else self._v!r})"

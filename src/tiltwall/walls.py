@@ -119,8 +119,6 @@ def numerical_wall(u: ReducedClass, w: ReducedClass):
 
 def walls_meet(w1: Wall, w2: Wall) -> bool:
     """Whether two walls share a point with alpha^2 > 0. Exact."""
-    if w1 == w2:
-        return True
     if isinstance(w1, VerticalWall) and isinstance(w2, VerticalWall):
         return w1.beta == w2.beta
     if isinstance(w1, VerticalWall) or isinstance(w2, VerticalWall):
@@ -291,13 +289,3 @@ def enumerate_destabilizers(
         return (1, -wall.radius_sq, wall.center)
 
     return sorted(((w, wall) for wall, w in by_wall.items()), key=sort_key)
-
-
-def largest_wall(u: ReducedClass, rank_bound: int) -> SemicircleWall | None:
-    """Semicircular wall of maximal radius among the enumerated ones."""
-    semis = [
-        wall
-        for _, wall in enumerate_destabilizers(u, rank_bound)
-        if isinstance(wall, SemicircleWall)
-    ]
-    return semis[0] if semis else None

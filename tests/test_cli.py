@@ -157,6 +157,13 @@ class TestCheck:
         )
         assert code == 2
 
+    def test_non_ascii_digit_exit_two(self, capsys):
+        # `\d` would take U+0661 ARABIC-INDIC DIGIT ONE and compute with 1
+        code = run(["chi", *THREEFOLD, "--char", "\u0661,0,0,0,0,0"])
+        assert code == 2
+        out, err = out_of(capsys)
+        assert out == "" and "argument --char: bad character: not a rational" in err
+
     def test_star_rejects_infinite_slope(self, capsys):
         code = run(
             ["check", "--ineq", "star", "--char", "0,0,0,0,0,1",
@@ -525,3 +532,17 @@ class TestConfigAndRoundTrip:
 
     def test_missing_config_file(self, capsys):
         assert run(["chi", "--config", "/nonexistent/f.cfg"]) == 2
+
+    def test_config_not_utf8_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("genus = 0 # \xe9\n".encode("latin-1"))
+        assert run(["chi", "--degree", "1", "--char", "1,0,0,0,0,0", "--config", str(cfg)]) == 2
+        out, err = out_of(capsys)
+        assert out == "" and err.startswith("error: 'utf-8' codec can't decode") and "\n" not in err
+
+    def test_config_naming_a_config_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "g.cfg"
+        for line in (f"config = {cfg}", f"conf = {cfg}"):
+            cfg.write_text(f"genus = 0\n{line}\n")
+            assert run(["chi", "--degree", "1", "--char", "1,0,0,0,0,0", "--config", str(cfg)]) == 2
+            assert out_of(capsys) == ("", "error: a config file cannot name another config file")

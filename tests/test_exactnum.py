@@ -35,7 +35,7 @@ class TestRat:
     def test_parse(self, text, value):
         assert parse_rat(text) == value
 
-    @pytest.mark.parametrize("bad", ["1.5", "a/b", "1/0", "3/-2", "", "1/ 2"])
+    @pytest.mark.parametrize("bad", ["1.5", "a/b", "1/0", "3/-2", "", "1/ 2", "\u0661", "1/\u0662"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rat(bad)
@@ -147,36 +147,19 @@ class TestExtRat:
         with pytest.raises(TypeError):
             ExtRat(0.1)
 
-    def test_total_order(self):
-        assert INFINITY > ExtRat(10**9)
-        assert not INFINITY < INFINITY
-        assert INFINITY == INFINITY
-        assert ExtRat(Fraction(1, 2)) < ExtRat(1)
-        assert ExtRat(3) == 3
+    def test_equality_only(self):
+        # slopes compare with slopes for equality; order and numbers go through .value
+        assert INFINITY == ExtRat(None) and ExtRat(Fraction(6, 2)) == ExtRat(3)
+        assert ExtRat(3) != INFINITY and ExtRat(3) != ExtRat(Fraction(1, 2))
+        assert ExtRat(3) != 3 and ExtRat(3).value == 3
+        with pytest.raises(TypeError):
+            ExtRat(1) < ExtRat(2)
+        with pytest.raises(TypeError):
+            hash(INFINITY)
 
     def test_str(self):
         assert str(INFINITY) == "inf"
         assert str(ExtRat(Fraction(-3, 2))) == "-3/2"
-
-    def test_comparison_table(self):
-        # every operator, both operand orders, against the key (is_inf, value)
-        def key(x):
-            if isinstance(x, ExtRat):
-                return (True, 0) if x.is_infinite else (False, x.value)
-            return (False, Fraction(x))
-
-        ops = [operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge]
-        ext = [ExtRat(-2), ExtRat(Fraction(1, 2)), ExtRat(1), INFINITY, ExtRat(None)]
-        plain = [-2, 0, 1, Fraction(1, 2), Fraction(-7, 3)]
-        pairs = [(a, b) for a in ext for b in ext + plain]
-        pairs += [(b, a) for a, b in pairs]
-        for a, b in pairs:
-            for op in ops:
-                assert op(a, b) is op(key(a), key(b)), (a, b)
-        for a, b in ((ExtRat(1), 0.5), (0.5, ExtRat(1)), (INFINITY, 0.5)):
-            for op in ops[2:]:
-                with pytest.raises(TypeError):
-                    op(a, b)
 
 
 # One value of each record type, with its field names in order. The three

@@ -1,156 +1,378 @@
-"""Every public definition in the runtime package is reached by something a
-user runs.
+"""Every line of function code in the runtime package runs under some
+command a user gives.
 
-The walk starts from `cli.main`, `selftest.run_selftest`, the Python block of
-README.md and `scripts/*.py` (their code and the names they import from
-tiltwall), plus the module-level code of every source file, which runs on
-import. From a reached body, a bare name reaches the top-level function or
-class of that name, and an attribute access `.name` reaches the methods of
-that name; a method is never reached through a bare name, so the local
-variable `scale` in `cli.emit_svg` reaches no method `scale`. A reached class
-brings its decorators, bases, class-level statements and dunder methods.
-A public method is reported only when its class is reached, since an
-unreached class is reported itself.
+`COMMANDS` is this file's own list of what users run: one command of each
+subcommand kind and option, a config file, and the CLI's error paths. The
+`executed` fixture imports tiltwall afresh and then runs, in this process
+and under a `sys.settrace` line tracer, that list, every command-line
+example of README.md (read by `test_readme.readme_examples`), the README's
+Python block, both scripts and `python -m tiltwall`. So "reached" means
+"executed".
 
-The same walk collects every call in reached code. A defaulted parameter of
-a reached public top-level function or method (or `__init__`) that no such
-call passes, by position or by keyword, is a knob nobody turns and is
-reported too. Calls are matched by name as above; calling a class calls its
+Only lines inside function code objects count: functions, methods, lambdas
+and comprehensions. Module and class bodies run at import, whatever the
+command. Each code object is mapped to its definition in the AST by (file,
+first line, name), which gives its qualified name (`co_qualname` needs
+Python 3.11). A function none of whose lines ran is reported by its `def`
+line; an unexecuted line of a function that ran is reported by its own
+text. `ALLOWED` excuses a report by (qualified name, line text), never by
+line number, with a one-line reason, and an entry that no report needs
+fails the test.
+
+The same run decides which defaults count. A defaulted parameter of an
+executed public function or method (or `__init__`) that no call passes, by
+position or by keyword, is a knob nobody turns. Calls are read from the
+executed functions (with what they nest), the module and class bodies, the
+README block and the scripts, and matched by name; calling a class calls its
 `__init__`, and a call with `*args` or `**kwargs` passes every parameter.
 Nested functions are not checked.
 """
 
 import ast
+import contextlib
+import dis
+import importlib
+import io
+import os
 import re
+import runpy
+import shlex
+import sys
+import types
 from pathlib import Path
+
+import pytest
+
+from test_readme import readme_examples
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "tiltwall").glob("*.py"))
-ROOTS = ("cli.main", "selftest.run_selftest")
-
-ALLOWED = {
-    "chern.f_ch2_twisted",  # read by bench/algebra_workload.py; ROADMAP item 6(a) releases it
-    "inequalities.prop42_chi_bounds",  # read by bench/algebra_workload.py; ROADMAP item 6(a) releases it
-    "inequalities.liu_abcd",  # read by bench/algebra_workload.py; ROADMAP item 6(a) releases it
-    "stability.heart_sign_constraints",  # read by bench/algebra_workload.py; ROADMAP item 6(a) releases it
-    "stability.HeartReport",  # read by bench/algebra_workload.py; ROADMAP item 6(a) releases it
-    "support.verify_support",  # read by bench/algebra_workload.py; ROADMAP item 6(a) releases it
-    "support.SupportWitness",  # read by bench/algebra_workload.py; ROADMAP item 6(a) releases it
+SCRIPTS = {
+    "chi_table.py": ["--range", "1"],
+    "wall_survey.py": ["--rank-bounds", "1,2", "--svg-dir", "svg"],
 }
 
+X = ["--genus", "0", "--degree", "3"]
+CH = "1,1,3,1/2,3/2,1/2"
+PT = ["--alpha2", "1", "--beta", "0"]
+SKY = "0,0,0,0,0,1"
 
-def _is_dunder(name: str) -> bool:
-    return name.startswith("__") and name.endswith("__")
+# (argv, exit code), run with a scratch directory as the working directory;
+# the `--config` files are the `CONFIGS` below.
+COMMANDS = [
+    # check: all eight kinds, a violated verdict, decimals and JSON
+    (["check", "--ineq", "conj31", "--char", CH, *PT, *X], 0),
+    (["check", "--ineq", "conj32", "--char", CH, *PT, *X, "--approx"], 0),
+    (["check", "--ineq", "star", "--char", CH, *PT, *X], 0),
+    (["check", "--ineq", "weak", "--char", CH, *PT, *X, "--format", "json"], 0),
+    (["check", "--ineq", "nabla", "--char", "1,0,0,0,1,0", *X], 1),
+    (["check", "--ineq", "corollary", "--char", CH, *X], 0),
+    (["check", "--ineq", "fiber-bog", "--char", CH, "--k", "2", *X], 0),
+    (["check", "--ineq", "classical", "--char", CH, *X, "--approx"], 0),
+    # slope: all five kinds, finite and infinite
+    (["slope", "--kind", "muHF", "--char", CH, "--approx"], 0),
+    (["slope", "--kind", "muHF", "--char", SKY], 0),
+    (["slope", "--kind", "muC", "--char", CH], 0),
+    (["slope", "--kind", "muC", "--char", "0,0,1,0,1,0"], 0),
+    (["slope", "--kind", "muC", "--char", SKY], 0),
+    (["slope", "--kind", "nu", "--char", CH, "--alpha2", "1", "--beta=-1/2"], 0),
+    (["slope", "--kind", "nu", "--char", SKY, *PT], 0),
+    (["slope", "--kind", "nuMixed", "--char", CH, *PT, "--t", "2", *X], 0),
+    (["slope", "--kind", "nuMixed", "--char", SKY, *PT, "--t", "2", *X], 0),
+    (["slope", "--kind", "nuSigma", "--char", CH, *PT, "--s", "1", "--t", "1", *X], 0),
+    (["slope", "--kind", "nuSigma", "--char", SKY, *PT, "--s", "1", "--t", "1", *X], 0),
+    # chern: both sources, every transform, and each beta_bar case
+    (["chern", "--char", CH, "--dual", "--tensor-line", "1,-1", "--twist", "1/2",
+      "--pushforward", "2", *X], 0),
+    (["chern", "--line-bundle", "1,0", "--twist", "0", "--format", "json", *X], 0),
+    (["chern", "--char", "1,0,0,-1,0,0", *X], 0),
+    (["chern", "--char=-1,0,0,2,0,0", *X], 0),
+    (["chern", "--char", "1,0,0,-2,0,0", *X], 0),
+    (["chern", "--char", "0,1,0,1/2,0,0", *X], 0),
+    (["chern", "--char", "0,0,1,0,0,0", *X], 0),
+    (["chern", "--char", "1,0,0,1,0,0", "--genus", "0", "--degree", "-1"], 0),
+    # wall: each kind of locus, text and JSON
+    (["wall", "--u", "1,0,0", "--w", "1,1,1/2"], 0),
+    (["wall", "--u", "1,0,0", "--w", "0,0,1", "--format", "text"], 0),
+    (["wall", "--u", "1,0,0", "--w", "2,0,0"], 0),
+    (["wall", "--u", "1,0,0", "--w", "1,1,0"], 0),
+    (["wall", "--u", "0,1,0", "--w", "0,1,1/2"], 0),
+    # walls: listing, region, CSV and SVG, disc(u) = 0 and < 0, rank-0 classes
+    (["walls", "--u", "1,0,-1", "--rank-bound", "2", "--at", "1/16,-3/2",
+      "--csv", "walls.csv", "--svg", "walls.svg"], 0),
+    (["walls", "--u", "1,0,-1", "--rank-bound", "2", "--at", "1,0", "--format", "json"], 0),
+    (["walls", "--u", "1,0,-1", "--rank-bound", "1", "--svg", "vertical.svg"], 0),
+    (["walls", "--u", "0,3,1/2", "--rank-bound", "2", "--svg", "rank0.svg"], 0),
+    (["walls", "--u", "1,1,1/2", "--rank-bound", "2", "--svg", "empty.svg"], 0),
+    (["walls", "--u", "1,0,1", "--rank-bound", "2"], 0),
+    (["walls", "--u", "0,-1,0", "--rank-bound", "1"], 0),
+    (["walls", "--u", "0,0,1", "--rank-bound", "1"], 0),
+    (["walls", "--u", "1,0,-1000000", "--rank-bound", "1000"], 2),
+    # chi, support, selftest
+    (["chi", "--char", CH, "--pair-from", "1,0", *X, "--approx"], 0),
+    (["chi", "--char", CH, *X, "--format", "json"], 0),
+    (["support", *PT, "--s", "1", "--t", "1", *X], 1),
+    (["support", "--alpha2", "2", "--beta", "1/2", "--s", "1", "--t", "3", *X,
+      "--format", "json"], 1),
+    (["selftest", "--seed", "3"], 0),  # seed 3 meets two vertical walls
+    # config files: true, false, a comment and a blank line; then each bad file
+    (["chern", "--config", "job.cfg"], 0),
+    (["chi", "--config", "noeq.cfg"], 2),
+    (["chi", "--config", "latin1.cfg"], 2),
+    (["chi", "--config", "nested.cfg"], 2),
+    (["chi", "--config", "missing.cfg"], 2),
+    # error paths: missing flags, bad choices, values off their domain
+    (["chi", "--char", CH], 2),
+    (["chi", *X], 2),
+    (["chern", *X], 2),
+    (["slope", "--kind", "nu", "--char", CH], 2),
+    (["slope", "--kind", "nuMixed", "--char", CH, *PT, *X], 2),
+    (["slope", "--kind", "muHF"], 2),
+    (["slope", "--kind", "bogus", "--char", CH], 2),
+    (["support", *PT, *X], 2),
+    (["support", *PT, "--s", "0", "--t", "1", *X], 2),
+    (["slope", "--kind", "nuMixed", "--char", CH, *PT, "--t", "0", *X], 2),
+    (["check", "--ineq", "weak", "--char", CH, "--alpha2", "0", "--beta", "0", *X], 2),
+    (["check", "--ineq", "fiber-bog", "--char", CH, "--k", "0", *X], 2),
+    (["check", "--ineq", "star", "--char", SKY, *PT, *X], 2),
+    (["check", "--ineq", "weak", "--char", "1,0,0,1/3,0,0", *PT, *X], 2),
+    (["check", "--ineq", "weak", "--char", "1,0,0", *PT, *X], 2),
+    (["chi", "--char", "1.5,0,0,0,0,0", *X], 2),
+    (["chi", "--char", CH, "--genus", "-1", "--degree", "3"], 2),
+    (["chern", "--line-bundle", "1,2,3", *X], 2),
+    (["chern", "--line-bundle", "1,0", "--char", CH, *X], 2),
+    (["chern", "--char", CH, "--pushforward", "0", *X], 2),
+    (["wall", "--u", "1,0", "--w", "1,0,0"], 2),
+    (["walls", "--u", "1,0,1/3", "--rank-bound", "1"], 2),
+    (["walls", "--u", "1,0,-1", "--rank-bound", "0"], 2),
+    (["walls", "--u", "1,0,-1", "--rank-bound", "1", "--at", "0,1"], 2),
+    (["walls", "--u", "1,0,-1", "--rank-bound", "1", "--csv", "no/such/dir.csv"], 2),
+]
+
+CONFIGS = {
+    "job.cfg": "# the README example, read by chern\ngenus = 0\ndegree = 3\n\n"
+               f"char = {CH}\ndual = true\napprox = false\n",
+    "noeq.cfg": "genus 0\n",
+    "latin1.cfg": "genus = 0 # \xe9\n",
+    "nested.cfg": "config = job.cfg\n",
+}
+
+BENCH = "read by bench/algebra_workload.py; ROADMAP item 6(a) releases it"
+QUAD_EQ = "tests compare beta_bar values; ROADMAP item 7(b) makes equality part-wise"
+REPR = "for reading values in a session; no command prints a repr"
+FAILED = "counts a failed check; the suite passes"
+
+# (qualified name, line text) -> why no command needs to run it. A function
+# that never runs is keyed by its def line.
+ALLOWED = {
+    ("chern.f_ch2_twisted",
+     "def f_ch2_twisted(ch: CharVector, b: QuadRat | Rat | int) -> QuadRat:"): BENCH,
+    ("inequalities.liu_abcd",
+     "def liu_abcd(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> tuple[Rat, Rat, Rat, Rat]:"):
+        BENCH,
+    ("inequalities.prop42_chi_bounds",
+     "def prop42_chi_bounds(ch: CharVector, X: RuledThreefold) -> tuple[Rat, Rat]:"): BENCH,
+    ("stability.heart_sign_constraints",
+     "def heart_sign_constraints(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> HeartReport:"):
+        BENCH,
+    ("stability.HeartReport.passes", "def passes(self) -> bool:"): BENCH,
+    ("support.verify_support", "def verify_support("): BENCH,
+    ("exactnum.QuadRat._key", "def _key(self) -> tuple[Rat, Rat]:"): QUAD_EQ,
+    ("exactnum.QuadRat.__eq__", "def __eq__(self, other):"): QUAD_EQ,
+    ("exactnum.QuadRat.__hash__", "def __hash__(self):"): QUAD_EQ,
+    ("exactnum.Record.__repr__", "def __repr__(self):"): REPR,
+    ("exactnum.ExtRat.__repr__", "def __repr__(self):"): REPR,
+    ("exactnum.QuadRat.__repr__", "def __repr__(self):"): REPR,
+    ("walls._EverywhereType.__repr__", "def __repr__(self):"): REPR,
+    ("exactnum.as_rat", 'raise TypeError(f"exact rational expected, got float {x!r}")'):
+        "guard: the CLI passes only parsed rationals, never a float",
+    ("exactnum.Record.__init__",
+     "raise TypeError(f\"{type(self).__name__} takes the fields {', '.join(names)}\")"):
+        "guard: every caller in the package passes each field once",
+    ("exactnum.Record.__setattr__", "def __setattr__(self, *_):"):
+        "guard: nothing in the package assigns to a field",
+    ("exactnum.QuadRat.__setattr__", "def __setattr__(self, *_):"):
+        "guard: nothing in the package assigns to a part",
+    ("exactnum.QuadRat.__init__", 'raise ValueError("radicand must be nonnegative")'):
+        "guard: beta_bar rejects a negative discriminant first",
+    ("exactnum.ExtRat.value", 'raise ValueError("infinite value has no rational part")'):
+        "guard: the CLI reads .value of finite slopes only",
+    ("exactnum.ExtRat.__eq__", "return NotImplemented"):
+        "guard: the package compares a slope only with a slope",
+    ("geometry.RuledThreefold._check", 'raise ValueError(f"{name} must be an integer")'):
+        "guard: the CLI parses genus and degree as ints",
+    ("walls.SemicircleWall._check", 'raise ValueError("semicircle needs positive squared radius")'):
+        "guard: numerical_wall builds a semicircle only for a positive radius",
+    ("walls._check_scan_args",
+     'raise ValueError("u must be a lattice class (integer r, c and half-integer d)")'):
+        "guard: the CLI rejects a class off the lattice when it parses it",
+    ("support.null_kernel_vector",
+     'raise ArithmeticError(f"the null-line certificate fails at v = {v}")'):
+        "guard: the certificate lemma holds for every charge, so only a faulty kernel fails it",
+    ("selftest._suite_twist_group_law", "fails += 1"): FAILED,
+    ("selftest._suite_equivalence", "fails += 1"): FAILED,
+    ("selftest._suite_nested_walls", "fails += 1"): FAILED,
+}
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda,
+          ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+CODE_NAMES = {ast.Lambda: "<lambda>", ast.ListComp: "<listcomp>", ast.SetComp: "<setcomp>",
+              ast.DictComp: "<dictcomp>", ast.GeneratorExp: "<genexpr>"}
 
 
 def _is_public(qualname: str) -> bool:
     return not qualname.rsplit(".", 1)[-1].startswith("_")
 
 
-def user_code() -> list[ast.Module]:
-    """The README's Python block and the scripts, parsed."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
-    scripts = sorted((ROOT / "scripts").glob("*.py"))
-    return [ast.parse(code) for code in blocks] + [ast.parse(p.read_text()) for p in scripts]
+def definitions(path: Path) -> dict[tuple[int, str], tuple[str, ast.AST]]:
+    """(first line, code name) -> (qualified name, node) for every function,
+    lambda, comprehension and class of `path`. The code of a decorated
+    definition starts at its first decorator."""
+    found: dict[tuple[int, str], tuple[str, ast.AST]] = {}
 
-
-def walk(sources: list[Path], roots: tuple[str, ...], extra: list[ast.Module]):
-    """(functions, methods, owner, seen, calls): the top-level definitions by
-    bare name, the methods by attribute name with their classes, the
-    qualified names reached from `roots`, the module-level code of `sources`
-    or the code and tiltwall imports of `extra`, and the calls in reached code."""
-    functions: dict[str, list[tuple[str, ast.AST]]] = {}  # by bare name
-    methods: dict[str, list[tuple[str, ast.AST]]] = {}  # by attribute name
-    owner: dict[str, str] = {}  # method -> its class
-    todo: list[ast.AST] = []
-    for path in sources:
-        module = path.stem
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                todo.append(node)
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, SCOPES):
+                visit(child, prefix)
                 continue
-            qual = f"{module}.{node.name}"
-            functions.setdefault(node.name, []).append((qual, node))
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef):
-                        methods.setdefault(item.name, []).append((f"{qual}.{item.name}", item))
-                        owner[f"{qual}.{item.name}"] = qual
-    seen: set[str] = set()
-    calls: list[ast.Call] = []
+            name = getattr(child, "name", None) or CODE_NAMES[type(child)]
+            first = min([child.lineno] + [d.lineno for d in getattr(child, "decorator_list", [])])
+            found.setdefault((first, name), (f"{prefix}.{name}", child))
+            visit(child, f"{prefix}.{name}")
 
-    def reach(qual: str, node: ast.AST) -> None:
-        if qual in seen:
-            return
-        seen.add(qual)
-        if not isinstance(node, ast.ClassDef):
-            todo.append(node)
-            return
-        todo.extend(node.decorator_list + node.bases)
-        for item in node.body:
-            if not isinstance(item, ast.FunctionDef):
-                todo.append(item)
-            elif _is_dunder(item.name):
-                reach(f"{qual}.{item.name}", item)
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
+    return found
 
-    for qual, node in (d for defs in functions.values() for d in defs):
-        if qual in roots:
-            reach(qual, node)
-    for tree in extra:
-        todo.append(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tiltwall"):
-                for alias in node.names:
-                    for qual, d in functions.get(alias.name, []):
-                        reach(qual, d)
+
+def _body_lines(code) -> set[int]:
+    """Lines of `code` that a line event can report: what follows the RESUME
+    (or GEN_START) that ends the prologue, which sits on the first line."""
+    ops = dis.get_instructions(code)
+    start = next((i.offset + 2 for i in ops if i.opname in ("RESUME", "GEN_START")), 0)
+    return {line for _, end, line in code.co_lines() if line is not None and end > start}
+
+
+def function_code(path: Path) -> dict[tuple[int, str], tuple[str, int, set[int]]]:
+    """(first line, code name) -> (qualified name, def line, executable lines)
+    for each function, method, lambda and comprehension of `path`; module and
+    class bodies are left out."""
+    defs = definitions(path)
+    found: dict[tuple[int, str], tuple[str, int, set[int]]] = {}
+    todo = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
     while todo:
-        for node in ast.walk(todo.pop()):
-            if isinstance(node, ast.Call):
-                calls.append(node)
-            if isinstance(node, ast.Name):
-                targets = functions.get(node.id, [])
-            elif isinstance(node, ast.Attribute):
-                targets = methods.get(node.attr, [])
-            else:
+        code = todo.pop()
+        consts = [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        todo.extend(consts)
+        for c in consts:
+            key = c.co_firstlineno, c.co_name
+            qual, node = defs[key]
+            if not isinstance(node, ast.ClassDef):
+                found.setdefault(key, (qual, node.lineno, set()))[2].update(_body_lines(c))
+    return found
+
+
+@contextlib.contextmanager
+def line_tracer(paths):
+    """Yield a set that, on exit, holds (file, first line, code name, line)
+    for every line event of a frame whose code comes from `paths`. The trace
+    function in place before is restored."""
+    wanted = {os.path.realpath(p) for p in paths}
+    relevant: dict[str, bool] = {}
+    events: set[tuple] = set()
+    hits: set[tuple[str, int, str, int]] = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            events.add((frame.f_code, frame.f_lineno))
+        return local
+
+    def start(frame, event, arg):
+        name = frame.f_code.co_filename
+        if name not in relevant:
+            relevant[name] = os.path.realpath(name) in wanted
+        return local if relevant[name] else None
+
+    previous = sys.gettrace()
+    sys.settrace(start)
+    try:
+        yield hits
+    finally:
+        sys.settrace(previous)
+        hits.update(
+            (os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name, line) for c, line in events
+        )
+
+
+def _ran(hits) -> dict[tuple[str, int, str], set[int]]:
+    """(file, first line, code name) -> the lines that ran."""
+    ran: dict[tuple[str, int, str], set[int]] = {}
+    for path, first, name, line in hits:
+        ran.setdefault((path, first, name), set()).add(line)
+    return ran
+
+
+def unexecuted(paths, hits) -> list[tuple[str, str]]:
+    """(qualified name, line text) for each function of `paths` that never
+    ran, by its def line, and each unexecuted line of a function that ran.
+    A function nested in one that never ran is not reported again."""
+    ran = _ran(hits)
+    report: dict[tuple[str, str], None] = {}
+    for path in map(Path, paths):
+        text = path.read_text(encoding="utf-8").splitlines()
+        real = os.path.realpath(path)
+        code = function_code(path)
+        idle = {qual for key, (qual, _, _) in code.items() if (real, *key) not in ran}
+        for key in sorted(code, key=lambda k: code[k][1]):
+            qual, def_line, lines = code[key]
+            if qual.rsplit(".", 1)[0] in idle:
                 continue
-            for qual, d in targets:
-                reach(qual, d)
-    return functions, methods, owner, seen, calls
+            done = ran.get((real, *key), set())
+            missed = sorted(lines - done) if done else [def_line]
+            report.update(((qual, text[line - 1].strip()), None) for line in missed)
+    return list(report)
 
 
-def unreached(sources: list[Path], roots: tuple[str, ...], extra: list[ast.Module]) -> list[str]:
-    """Qualified names (module.name or module.Class.method) of the public
-    definitions in `sources` that nothing reaches from `roots`, the
-    module-level code of `sources`, or the code and tiltwall imports of `extra`."""
-    functions, methods, owner, seen, _ = walk(sources, roots, extra)
-    defined = [q for defs in functions.values() for q, _ in defs]
-    defined += [q for defs in methods.values() for q, _ in defs if owner[q] in seen]
-    return sorted(q for q in defined if _is_public(q) and q not in seen)
+def executed_functions(paths, hits) -> set[str]:
+    """Qualified names of the functions of `paths` of which some line ran."""
+    ran = _ran(hits)
+    return {
+        qual
+        for path in map(Path, paths)
+        for key, (qual, _, _) in function_code(path).items()
+        if (os.path.realpath(path), *key) in ran
+    }
 
 
-def unpassed_defaults(
-    sources: list[Path], roots: tuple[str, ...], extra: list[ast.Module]
-) -> list[str]:
-    """`qualname(p, ...)` for each reached public function or method (or
-    `__init__`) whose defaulted parameters p no call in reached code passes."""
-    functions, methods, owner, seen, calls = walk(sources, roots, extra)
+def unpassed_defaults(paths, executed: set[str], extra: list[ast.Module]) -> list[str]:
+    """`qualname(p, ...)` for each executed public function or method (or
+    `__init__`) whose defaulted parameters p no call in code that ran passes."""
     defs: dict[str, tuple[ast.FunctionDef, int]] = {}  # qualname -> (def, positional offset)
     by_name: dict[str, list[str]] = {}  # call name -> qualnames; a class call is its __init__'s
-    for name, found in functions.items():
-        for qual, node in found:
-            offset = 0
-            if isinstance(node, ast.ClassDef):
-                inits = [i for i in node.body if getattr(i, "name", None) == "__init__"]
-                if not inits:
-                    continue
-                qual, node, offset = f"{qual}.__init__", inits[0], 1
-            defs[qual] = (node, offset)
-            by_name.setdefault(name, []).append(qual)
-    for name, found in methods.items():
-        for qual, node in found:
-            defs[qual] = (node, 1)
-            by_name.setdefault(name, []).append(qual)
+    calls = [n for tree in extra for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    for path in paths:
+        module = Path(path).stem
+        tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+        live: list[ast.AST] = []  # module and class bodies, and executed functions
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                qual = f"{module}.{node.name}"
+                defs[qual] = (node, 0)
+                by_name.setdefault(node.name, []).append(qual)
+                live.extend([node] if qual in executed else node.decorator_list)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        live.append(item)
+                        continue
+                    qual = f"{module}.{node.name}.{item.name}"
+                    defs[qual] = (item, 1)
+                    by_name.setdefault(item.name, []).append(qual)
+                    if item.name == "__init__":
+                        by_name.setdefault(node.name, []).append(qual)
+                    live.extend([item] if qual in executed else item.decorator_list)
+            else:
+                live.append(node)
+        calls += [n for root in live for n in ast.walk(root) if isinstance(n, ast.Call)]
     passed: dict[str, set[str]] = {}
     for call in calls:
         name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
@@ -168,7 +390,7 @@ def unpassed_defaults(
     report = []
     for qual, (node, _) in sorted(defs.items()):
         public = _is_public(qual) or qual.endswith(".__init__")
-        if qual not in seen or not public or not _is_public(owner.get(qual, qual)):
+        if qual not in executed or not public or not _is_public(qual.rsplit(".", 1)[0]):
             continue
         params = node.args.posonlyargs + node.args.args
         defaulted = [a.arg for a in params[len(params) - len(node.args.defaults):]]
@@ -179,67 +401,145 @@ def unpassed_defaults(
     return report
 
 
+def readme_python() -> list[str]:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"```python\n(.*?)```", readme, re.S)
+
+
+def user_code() -> list[ast.Module]:
+    """The README's Python block and the scripts, parsed."""
+    scripts = [(ROOT / "scripts" / name).read_text(encoding="utf-8") for name in SCRIPTS]
+    return [ast.parse(code) for code in readme_python() + scripts]
+
+
+def _captured(fn, *args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return fn(*args)
+        except SystemExit as exc:
+            return exc.code
+
+
+@pytest.fixture(scope="module")
+def executed(tmp_path_factory):
+    """The trace of a fresh `import tiltwall.cli` and of every listed command."""
+    work = tmp_path_factory.mktemp("commands")
+    for name, text in CONFIGS.items():
+        (work / name).write_text(text, encoding="latin-1")
+    saved = {n: m for n, m in sys.modules.items() if n.split(".")[0] == "tiltwall"}
+    for name in saved:
+        del sys.modules[name]
+    cwd, argv = os.getcwd(), sys.argv
+    codes = []
+    try:
+        os.chdir(work)
+        with line_tracer(SOURCES) as hits:
+            cli = importlib.import_module("tiltwall.cli")
+            for args, _ in COMMANDS:
+                codes.append(_captured(cli.run, args))
+            for cmd, _ in readme_examples():
+                _captured(cli.run, shlex.split(cmd, comments=True)[1:])
+            for block in readme_python():
+                exec(compile(block, "README.md", "exec"), {})
+            for name, args in SCRIPTS.items():
+                sys.argv = [name, *args]
+                _captured(runpy.run_path, str(ROOT / "scripts" / name), None, "__main__")
+            sys.argv = ["tiltwall", "chi", "--char", CH, *X]
+            module_code = _captured(runpy.run_module, "tiltwall", None, "__main__", True)
+    finally:
+        sys.argv = argv
+        os.chdir(cwd)
+        for name in [n for n in sys.modules if n.split(".")[0] == "tiltwall"]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+    assert [code for _, code in COMMANDS] == codes
+    assert module_code == 0
+    return hits
+
+
 def test_sources_found():
-    assert len(SOURCES) >= 10 and len(user_code()) >= 3
+    assert len(SOURCES) >= 10 and len(user_code()) == 3
 
 
-def test_every_public_definition_is_reached():
-    missing = [q for q in unreached(SOURCES, ROOTS, user_code()) if q not in ALLOWED]
-    assert missing == [], f"defined but reached by no command, README example or script: {missing}"
+def test_every_public_definition_is_reached(executed):
+    # and every other line of function code, private or not
+    missing = [r for r in unexecuted(SOURCES, executed) if r not in ALLOWED]
+    assert missing == [], "function code that no listed command executes:\n" + "\n".join(
+        f"{qual}: {text}" for qual, text in missing
+    )
 
 
-def test_allowlist_is_still_needed():
-    # a name that becomes reached, or is deleted, leaves the allowlist
-    assert sorted(ALLOWED) == [q for q in unreached(SOURCES, ROOTS, user_code()) if q in ALLOWED]
+def test_allowlist_is_still_needed(executed):
+    # an entry whose line runs, or is deleted, leaves the allowlist
+    reported = set(unexecuted(SOURCES, executed))
+    assert [key for key in ALLOWED if key not in reported] == []
 
 
-def test_every_default_is_passed_by_some_call():
-    unpassed = unpassed_defaults(SOURCES, ROOTS, user_code())
+def test_every_default_is_passed_by_some_call(executed):
+    unpassed = unpassed_defaults(SOURCES, executed_functions(SOURCES, executed), user_code())
     assert unpassed == [], f"defaults no command, README example or script overrides: {unpassed}"
 
 
-def test_detects_an_unreached_definition(tmp_path):
+TOY = '''\
+def main(flag, xs, opts):
+    Box(1).size(2)
+    spread(*xs)
+    spread_kw(1, **opts)
+    if flag:
+        return used(1, 2) + used(1, flag=True) + helper(1)
+    return 0
+def used(x, mode=0, flag=False, other=None): return x
+def helper(x, knob=3):
+    def inner(y, r=x): return y
+    return inner(x)
+def spread(a, b=1): return a
+def spread_kw(a, b=1): return a
+def orphan(a, b=1):
+    return [a for _ in range(b)]
+def _private(a, b=1): return a
+class Box:
+    def __init__(self, n, m=0): self.n = n
+    @property
+    def area(self):
+        return self.n
+    def size(self, k=1, j=2):
+        return sum(self.n
+                   for _ in range(k))
+LATE = lambda: 1
+'''
+
+
+def _run_toy(tmp_path):
     src = tmp_path / "mod.py"
-    src.write_text(
-        "LIMIT = helper_at_import()\n"
-        "def helper_at_import(): return 1\n"
-        "def main():\n"
-        "    scale = 2\n"
-        "    return Box().size() * scale + helper()\n"
-        "def helper(): return 1\n"
-        "def orphan(): return 1\n"
-        "def _private(): return 1\n"
-        "class Box:\n"
-        "    def __init__(self): self.n = 1\n"
-        "    def size(self): return self.n\n"
-        "    def scale(self): return 2\n"
-        "class Unused:\n"
-        "    def method(self): return 1\n"
-    )
-    user = [ast.parse("from tiltwall.mod import Unused\n")]
-    assert unreached([src], ("mod.main",), []) == ["mod.Box.scale", "mod.Unused", "mod.orphan"]
-    assert unreached([src], ("mod.main",), user) == ["mod.Box.scale", "mod.Unused.method", "mod.orphan"]
+    src.write_text(TOY)
+    module = runpy.run_path(str(src))
+    previous = sys.gettrace()
+    with line_tracer([src]) as hits:
+        assert module["main"](True, [1], {}) == 3
+    assert sys.gettrace() is previous
+    return src, hits
+
+
+def test_detects_an_unreached_definition(tmp_path):
+    # a function that never ran (not what it nests), and an unexecuted
+    # branch of one that did
+    src, hits = _run_toy(tmp_path)
+    assert unexecuted([src], hits) == [
+        ("mod.main", "return 0"),
+        ("mod.orphan", "def orphan(a, b=1):"),
+        ("mod._private", "def _private(a, b=1): return a"),
+        ("mod.Box.area", "def area(self):"),
+        ("mod.<lambda>", "LATE = lambda: 1"),
+    ]
+    assert executed_functions([src], hits) == {
+        "mod.main", "mod.used", "mod.helper", "mod.helper.inner", "mod.spread", "mod.spread_kw",
+        "mod.Box.__init__", "mod.Box.size", "mod.Box.size.<genexpr>",
+    }
 
 
 def test_detects_an_unpassed_default(tmp_path):
-    src = tmp_path / "mod.py"
-    src.write_text(
-        "def main(xs, opts):\n"
-        "    Box(1).size(2)\n"
-        "    spread(*xs)\n"
-        "    spread_kw(1, **opts)\n"
-        "    return used(1, 2) + used(1, flag=True) + helper(1)\n"
-        "def used(x, mode=0, flag=False, other=None): return x\n"
-        "def helper(x, knob=3):\n"
-        "    def inner(y, r=x): return y\n"
-        "    return inner(x)\n"
-        "def spread(a, b=1): return a\n"
-        "def spread_kw(a, b=1): return a\n"
-        "def _private(a, b=1): return a\n"
-        "class Box:\n"
-        "    def __init__(self, n, m=0): self.n = n\n"
-        "    def size(self, k=1, j=2): return self.n\n"
-    )
-    assert unpassed_defaults([src], ("mod.main",), []) == [
+    src, hits = _run_toy(tmp_path)
+    assert unpassed_defaults([src], executed_functions([src], hits), []) == [
         "mod.Box.__init__(m)", "mod.Box.size(j)", "mod.helper(knob)", "mod.used(other)"
     ]

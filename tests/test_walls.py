@@ -11,7 +11,6 @@ from tiltwall import (
     TiltPoint,
     VerticalWall,
     enumerate_destabilizers,
-    largest_wall,
     numerical_wall,
     nu,
     walls_meet,
@@ -84,7 +83,7 @@ class TestCircleThrough:
         # nu(O(H)) = 0 at (1, 0), so the pencil circle there is center 0, radius^2 1;
         # (0, 1, 0) has d = r/2 and c != r, so its wall against O(H) is that circle
         u = ReducedClass(1, 1, Fraction(1, 2))
-        assert nu(lift(u), TiltPoint(1, 0)) == 0
+        assert nu(lift(u), TiltPoint(1, 0)).value == 0
         assert numerical_wall(u, ReducedClass(0, 1, 0)) == SemicircleWall(0, 1)
 
     def test_contains_its_point(self, rng):
@@ -149,6 +148,9 @@ class TestNestedWalls:
                 continue
             seen += 1
             assert a == b or not walls_meet(a, b)
+            # an equal wall built anew meets the wall, vertical or semicircular
+            for wall in (a, b, VerticalWall(Fraction(-1, 2)), SemicircleWall(1, 2)):
+                assert walls_meet(wall, type(wall)(*wall.as_tuple()))
 
     def test_common_base_point_when_disc_negative(self):
         # all pencil members share one point when disc(u) < 0, so the
@@ -327,8 +329,16 @@ class TestEnumerate:
             enumerate_destabilizers(ReducedClass(1, 0, Fraction(1, 3)), 1)
 
 
+def largest_wall(u: ReducedClass, rank_bound: int) -> SemicircleWall | None:
+    """The first semicircle of `enumerate_destabilizers`, which lists them by
+    descending radius^2 after the vertical walls."""
+    semis = [w for _, w in enumerate_destabilizers(u, rank_bound) if isinstance(w, SemicircleWall)]
+    return semis[0] if semis else None
+
+
 class TestLargestWall:
     def test_disc_zero_absent(self):
+        assert enumerate_destabilizers(ReducedClass(1, 1, Fraction(1, 2)), 3) == []
         assert largest_wall(ReducedClass(1, 1, Fraction(1, 2)), 3) is None
 
     def test_head_of_enumeration(self):
@@ -337,11 +347,13 @@ class TestLargestWall:
         )
 
     def test_monotone_in_rank_bound(self):
-        u = ReducedClass(2, 1, 0)
-        prev = Fraction(0)
-        for rank_bound in (1, 2, 3, 4):
-            wall = largest_wall(u, rank_bound)
-            if wall is None:
-                continue
-            assert wall.radius_sq >= prev
-            prev = wall.radius_sq
+        # a larger rank bound scans a superset, so no wall is lost and the
+        # largest radius never shrinks
+        for u in (ReducedClass(1, 0, -2), ReducedClass(3, 1, -1)):
+            prev_walls, prev = set(), Fraction(0)
+            for rank_bound in (1, 2, 3, 4):
+                walls = {wall for _, wall in enumerate_destabilizers(u, rank_bound)}
+                assert prev_walls <= walls
+                wall = largest_wall(u, rank_bound)
+                assert wall.radius_sq >= prev
+                prev_walls, prev = walls, wall.radius_sq

@@ -7,13 +7,14 @@
 import argparse
 
 from tiltwall import RuledThreefold, euler_char, line_bundle_char
+from tiltwall.exactnum import parse_int
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--genus", type=int, default=0)
-    ap.add_argument("--degree", type=int, default=3)
-    ap.add_argument("--range", type=int, default=4, dest="span")
+    ap.add_argument("--genus", type=parse_int, default=0)
+    ap.add_argument("--degree", type=parse_int, default=3)
+    ap.add_argument("--range", type=parse_int, default=4, dest="span")
     args = ap.parse_args()
 
     X = RuledThreefold(args.genus, args.degree)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from tiltwall import ReducedClass, SemicircleWall, enumerate_destabilizers
 from tiltwall.cli import emit_svg
+from tiltwall.exactnum import format_list, parse_int, parse_list
 
 SAMPLES = [
     ReducedClass(1, 0, -1),
@@ -36,24 +37,23 @@ def main() -> None:
     ap.add_argument("--rank-bounds", default="1,2,3,4")
     ap.add_argument("--svg-dir", default=None)
     args = ap.parse_args()
-    bounds = [int(b) for b in args.rank_bounds.split(",")]
+    bounds = parse_list(args.rank_bounds, "rank bound list", None, parse_int)
 
     for u in SAMPLES:
-        label = ",".join(str(x) for x in u.as_tuple())
+        label = format_list(u.as_tuple())
         print(f"== class ({label})")
         for rank_bound in bounds:
             found = enumerate_destabilizers(u, rank_bound)
             semis = [w for _, w in found if isinstance(w, SemicircleWall)]
             head = describe(semis[0]) if semis else "-"
             print(f"  rank<= {rank_bound}: {len(found):3d} walls, largest {head}")
+        # `found` is the enumeration at the last rank bound
         if args.svg_dir:
             out = pathlib.Path(args.svg_dir)
             out.mkdir(parents=True, exist_ok=True)
-            top = enumerate_destabilizers(u, bounds[-1])
-            emit_svg([w for _, w in top], None, str(out / f"walls_{label.replace(',', '_').replace('/', 'o')}.svg"))
-        for w, wall in enumerate_destabilizers(u, bounds[-1]):
-            wl = ",".join(str(x) for x in w.as_tuple())
-            print(f"    {describe(wall)}  from ({wl})")
+            emit_svg([w for _, w in found], None, str(out / f"walls_{label.replace(',', '_').replace('/', 'o')}.svg"))
+        for w, wall in found:
+            print(f"    {describe(wall)}  from ({format_list(w.as_tuple())})")
         print()
 
 

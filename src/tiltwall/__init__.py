@@ -17,6 +17,7 @@ from .exactnum import (
     ExtRat,
     QuadRat,
     Rat,
+    format_list,
     format_rat,
     parse_rat,
     rat_sqrt,
@@ -31,7 +32,6 @@ from .geometry import (
     euler_char,
     euler_char_pair,
     fiber_pushforward_char,
-    format_char,
     line_bundle_char,
     parse_char,
     tensor_product_char,
@@ -69,6 +69,7 @@ from .walls import (
     VerticalWall,
     Wall,
     enumerate_destabilizers,
+    no_wall_reason,
     numerical_wall,
     walls_meet,
 )

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import QuadRat, Rat, Record, as_rat, format_rat, lattice_error, parse_rat
+from .exactnum import QuadRat, Rat, Record, as_rat, lattice_error, parse_list
 from .geometry import CharVector, RuledThreefold, line_bundle_char, tensor_product_char
 
 
@@ -30,14 +30,7 @@ class TiltPoint(Record):
 
 
 def parse_reduced(text: str) -> ReducedClass:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"reduced class needs 3 comma-separated entries, got {len(parts)}")
-    return ReducedClass(*(parse_rat(p) for p in parts))
-
-
-def format_reduced(u: ReducedClass) -> str:
-    return ",".join(format_rat(x) for x in u.as_tuple())
+    return ReducedClass(*parse_list(text, "reduced class", 3))
 
 
 def _twist_scaled(ch: CharVector, beta: Rat | int, d: int) -> tuple[int, tuple[int, ...]]:

@@ -20,21 +20,18 @@ from .chern import (
     ReducedClass,
     TiltPoint,
     beta_bar,
-    disc_bar_reduced,
-    format_reduced,
     parse_reduced,
     reduced,
     tensor_line,
     twist,
 )
-from .exactnum import format_rat, lattice_error, parse_rat
+from .exactnum import format_list, format_rat, lattice_error, parse_int, parse_list, parse_rat
 from .geometry import (
     RuledThreefold,
     dual_char,
     euler_char,
     euler_char_pair,
     fiber_pushforward_char,
-    format_char,
     line_bundle_char,
     parse_char,
 )
@@ -59,6 +56,7 @@ from .walls import (
     Wall,
     candidate_bound,
     enumerate_destabilizers,
+    no_wall_reason,
     numerical_wall,
 )
 
@@ -84,26 +82,12 @@ def _on_lattice(x):
     return x
 
 
+_int = _type(parse_int, "integer")
 _rat = _type(parse_rat, "rational")
 _char = _type(lambda s: _on_lattice(parse_char(s)), "character")
 _reduced = _type(lambda s: _on_lattice(parse_reduced(s)), "reduced class")
-
-
-def _pair(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError("expected two comma-separated values")
-    return parts
-
-
-def _int_pair(text):
-    a, b = _pair(text)
-    return int(a), int(b)
-
-
-def _point(text):
-    a2, b = _pair(text)
-    return TiltPoint(parse_rat(a2), parse_rat(b))
+_line_bundle = _type(lambda s: parse_list(s, "pair", 2, parse_int), "pair")
+_at = _type(lambda s: TiltPoint(*parse_list(s, "point", 2)), "point")
 
 
 # Most candidate classes `walls` scans, by `candidate_bound`. On a 2-vCPU host
@@ -201,8 +185,8 @@ def _cmd_chern(args) -> int:
         ch = fiber_pushforward_char(args.pushforward, ch)
     red = reduced(ch)
     payload: dict = {
-        "char": format_char(ch),
-        "reduced": format_reduced(red),
+        "char": format_list(ch.as_tuple()),
+        "reduced": format_list(red.as_tuple()),
         "lattice": ch.is_lattice(),
         "disc_bar": format_rat(disc_bar(ch)),
         "disc_tilde0": format_rat(disc_tilde(ch, 0, X)),
@@ -309,15 +293,15 @@ def _cmd_walls(args) -> int:
             f"the scan would test up to {estimate} candidate classes, "
             f"more than the cap of {MAX_WALL_CANDIDATES}"
         )
-    if disc_bar_reduced(args.u) < 0:
-        print("note: disc(u) < 0, no tilt-semistable object has this class", file=sys.stderr)
+    if reason := no_wall_reason(args.u):
+        print(f"note: {reason}", file=sys.stderr)
     found = enumerate_destabilizers(args.u, args.rank_bound, args.at)
     payload = [
-        dict(w=format_reduced(w), **_wall_payload(wall))
+        dict(w=format_list(w.as_tuple()), **_wall_payload(wall))
         for w, wall in found
     ]
     lines = [
-        f"{_wall_text(wall)}  (w={format_reduced(w)})"
+        f"{_wall_text(wall)}  (w={format_list(w.as_tuple())})"
         for w, wall in found
     ] or ["no walls"]
     if args.csv:
@@ -342,14 +326,15 @@ def _cmd_chi(args) -> int:
 
 def _cmd_support(args) -> int:
     X = _threefold(args)
-    vector = [format_rat(x) for x in null_kernel_vector(_charge_flags(args), X)]
+    v = null_kernel_vector(_charge_flags(args), X)
     if args.format == "json":
+        vector = [format_rat(x) for x in v]
         reason = {"kind": "null_kernel_vector", "vector": vector, "vanishing": ["Q_weak", "Q_disc"]}
         print(json.dumps({"witness": None, "reason": reason}))
     else:
         print("no witness")
         print(
-            f"note: Q_weak and Q_disc both vanish on v = ({','.join(vector)}) in ker Z, "
+            f"note: Q_weak and Q_disc both vanish on v = ({format_list(v)}) in ker Z, "
             "so no mu*Q_weak + lambda*Q_disc is negative definite on ker Z",
             file=sys.stderr,
         )
@@ -469,8 +454,8 @@ def _common_flags(format_default: str) -> argparse.ArgumentParser:
     )
     common.add_argument("--format", choices=("text", "json"), default=format_default)
     common.add_argument("--approx", action="store_true", help="add decimal approximations")
-    common.add_argument("--genus", type=int, default=None)
-    common.add_argument("--degree", type=int, default=None)
+    common.add_argument("--genus", type=_int, default=None)
+    common.add_argument("--degree", type=_int, default=None)
     return common
 
 
@@ -482,11 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chern", parents=[common], help="character transforms and invariants")
     p.add_argument("--char", type=_char, default=None)
-    p.add_argument("--line-bundle", type=_type(_int_pair, "pair"), default=None, metavar="a,b")
+    p.add_argument("--line-bundle", type=_line_bundle, default=None, metavar="a,b")
     p.add_argument("--dual", action="store_true")
-    p.add_argument("--tensor-line", type=_type(_int_pair, "pair"), default=None, metavar="a,b")
+    p.add_argument("--tensor-line", type=_line_bundle, default=None, metavar="a,b")
     p.add_argument("--twist", type=_rat, default=None, metavar="BETA")
-    p.add_argument("--pushforward", type=int, default=None, metavar="K")
+    p.add_argument("--pushforward", type=_int, default=None, metavar="K")
     p.set_defaults(handler=_cmd_chern)
 
     p = sub.add_parser("slope", parents=[common], help="evaluate a slope function")
@@ -507,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char", type=_char, default=None)
     p.add_argument("--alpha2", type=_rat, default=None)
     p.add_argument("--beta", type=_rat, default=None)
-    p.add_argument("--k", type=int, default=1, help="fiber multiplicity for fiber-bog")
+    p.add_argument("--k", type=_int, default=1, help="fiber multiplicity for fiber-bog")
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser(
@@ -519,15 +504,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walls", parents=[common], help="enumerate destabilizer walls")
     p.add_argument("--u", type=_reduced, required=True)
-    p.add_argument("--rank-bound", type=int, required=True)
-    p.add_argument("--at", type=_type(_point, "point"), default=None, metavar="ALPHA2,BETA")
+    p.add_argument("--rank-bound", type=_int, required=True)
+    p.add_argument("--at", type=_at, default=None, metavar="ALPHA2,BETA")
     p.add_argument("--svg", default=None, metavar="PATH")
     p.add_argument("--csv", default=None, metavar="PATH")
     p.set_defaults(handler=_cmd_walls)
 
     p = sub.add_parser("chi", parents=[common], help="Euler characteristic")
     p.add_argument("--char", type=_char, default=None)
-    p.add_argument("--pair-from", type=_type(_int_pair, "pair"), default=None, metavar="a,b")
+    p.add_argument("--pair-from", type=_line_bundle, default=None, metavar="a,b")
     p.set_defaults(handler=_cmd_chi)
 
     p = sub.add_parser("support", parents=[common], help="why no support-property witness exists")
@@ -538,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_support)
 
     p = sub.add_parser("selftest", parents=[common], help="run the built-in invariant suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(handler=_cmd_selftest)
 
     return top

@@ -1,4 +1,5 @@
-"""Exact number types.
+"""Exact number types, and the wire format: the text of integers, rationals
+and comma lists on the command line and in config files.
 
 Everything downstream computes over plain rationals (``fractions.Fraction``,
 aliased ``Rat``) and rationals extended by ``+inf`` (``ExtRat``, compared
@@ -20,7 +21,16 @@ from operator import attrgetter
 
 Rat = Fraction
 
+_INT_RE = re.compile(r"^[+-]?\d+$", re.ASCII)
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
+
+
+def parse_int(text: str) -> int:
+    """Parse the wire format 'n' (base 10, ASCII). Rejects '1_0', which `int` reads."""
+    t = text.strip()
+    if not _INT_RE.match(t):
+        raise ValueError(f"not an integer in 'n' form: {text!r}")
+    return int(t)
 
 
 def parse_rat(text: str) -> Rat:
@@ -29,6 +39,15 @@ def parse_rat(text: str) -> Rat:
     if not _RAT_RE.match(t):
         raise ValueError(f"not a rational in 'p' or 'p/q' form: {text!r}")
     return Fraction(t)
+
+
+def parse_list(text: str, what: str, count: int | None, parse=parse_rat) -> list:
+    """Parse the wire format of a comma list: `count` entries (any number for
+    None), each read by `parse`. The count error names `what` and the text."""
+    parts = text.split(",")
+    if count is not None and len(parts) != count:
+        raise ValueError(f"{what} needs {count} comma-separated entries, got {len(parts)}: {text!r}")
+    return [parse(part) for part in parts]
 
 
 def as_rat(x: Rat | int) -> Rat:
@@ -118,6 +137,11 @@ def format_rat(q: Rat | int) -> str:
     return str(as_rat(q))
 
 
+def format_list(values) -> str:
+    """The wire format of a comma list of exact values, read back by `parse_list`."""
+    return ",".join(map(format_rat, values))
+
+
 def rat_sqrt(q: Rat | int) -> Rat | None:
     """Exact square root of a nonnegative rational, or None if irrational.
     A negative q raises ValueError (from `math.isqrt`)."""
@@ -132,12 +156,8 @@ def rat_sqrt(q: Rat | int) -> Rat | None:
 def ceil_sqrt(q: Rat | int) -> int:
     """Least integer n >= 0 with n*n >= q. Exact."""
     q = as_rat(q)
-    if q <= 0:
-        return 0
-    n = math.isqrt(q.numerator // q.denominator)
-    while Fraction(n * n) < q:
-        n += 1
-    return n
+    # n*n >= q iff n*n > ceil(q) - 1, as n*n is an integer
+    return math.isqrt(math.ceil(q) - 1) + 1 if q > 0 else 0
 
 
 class ExtRat:

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .exactnum import Rat, Record, format_rat, lattice_error, parse_rat
+from .exactnum import Rat, Record, lattice_error, parse_list
 
 
 class RuledThreefold(Record):
@@ -72,14 +72,7 @@ SKYSCRAPER = CharVector(0, 0, 0, 0, 0, 1)
 
 
 def parse_char(text: str) -> CharVector:
-    parts = text.split(",")
-    if len(parts) != 6:
-        raise ValueError(f"character needs 6 comma-separated entries, got {len(parts)}")
-    return CharVector(*(parse_rat(p) for p in parts))
-
-
-def format_char(ch: CharVector) -> str:
-    return ",".join(format_rat(x) for x in ch.as_tuple())
+    return CharVector(*parse_list(text, "character", 6))
 
 
 def canonical_and_c2(X: RuledThreefold) -> tuple[tuple[int, int], int, int]:

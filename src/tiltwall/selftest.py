@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .chern import ReducedClass, TiltPoint, tensor_line, twist
+from .chern import ReducedClass, TiltPoint, disc_bar_reduced, tensor_line, twist
 from .geometry import CHAR_O, CharVector, RuledThreefold, canonical_and_c2, euler_char
 from .inequalities import bg_main_defect, bg_star_defect, disc_bar, disc_tilde, nabla
 from .stability import nu
@@ -110,7 +110,7 @@ def _suite_nested_walls(rng, n=100):
     checks = fails = 0
     while checks < n:
         u = rand_reduced(rng)
-        if u.c * u.c - 2 * u.r * u.dd < 0:
+        if disc_bar_reduced(u) < 0:
             continue
         w1, w2 = rand_reduced(rng), rand_reduced(rng)
         a = numerical_wall(u, w1)

@@ -142,18 +142,27 @@ def _passes_region(wall: Wall, region: TiltPoint) -> bool:
     return db * db + region.alpha2 <= wall.radius_sq
 
 
+def no_wall_reason(u: ReducedClass) -> str | None:
+    """Why u has no wall at any rank bound, or None when `candidate_box` is not empty."""
+    if disc_bar_reduced(u) < 0:
+        return "disc(u) < 0, no tilt-semistable object has this class"
+    if u.r == 0 and u.c == 0:
+        return "r = c = 0, the tilt slope of u is infinite everywhere, so no wall exists"
+    if u.r == 0 and u.c < 0:
+        return "r = 0 and c < 0, no object of a tilted heart has this class"
+    return None
+
+
 def candidate_box(u: ReducedClass, rank_bound: int):
     """Per-rank (c range, d interval) superset of all admissible destabilizers.
 
     Yields (r_w, c_lo, c_hi, d_interval_fn); d_interval_fn(c_w) returns the
     exact closed d_w interval or None.
     """
+    if no_wall_reason(u):
+        return
     delta = disc_bar_reduced(u)
-    if delta < 0:
-        return
     r_u, c_u, d_u = u.r, u.c, u.dd
-    if r_u == 0 and c_u == 0:
-        return
 
     if r_u != 0:
         mu = c_u / r_u
@@ -162,8 +171,6 @@ def candidate_box(u: ReducedClass, rank_bound: int):
         cbar_max = Fraction(ceil_sqrt(delta + rho2max * r_u * r_u))
         c_min_center, c_max_center = mu - cdev, mu + cdev
     else:
-        if c_u < 0:
-            return  # window 0 <= cbar_w <= c_u is empty
         fixed_center = d_u / c_u
         cbar_max = c_u
 
@@ -229,7 +236,7 @@ def enumerate_destabilizers(
     """
     _check_scan_args(u, rank_bound)
     # Doubled coordinates D = 2 d: every quantity below is an int. The box is
-    # empty when disc(u) < 0, so no class is scanned and no wall returned.
+    # empty when `no_wall_reason` gives one, so no class is scanned.
     r_u, c_u, D_u, delta = int(u.r), int(u.c), int(2 * u.dd), int(disc_bar_reduced(u))
     by_wall: dict[Wall, ReducedClass] = {}
     for r_w, c_lo, c_hi, d_interval in candidate_box(u, rank_bound):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -19,7 +20,9 @@ from tiltwall import (
     fiber_bogomolov_defect,
     nabla,
 )
-from tiltwall.cli import run
+from tiltwall.chern import parse_reduced
+from tiltwall.cli import build_parser, run
+from wall_oracle import oracle_enumerate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 THREEFOLD = ["--genus", "0", "--degree", "3"]
@@ -292,6 +295,22 @@ class TestWalls:
         assert proc.stderr == "note: disc(u) < 0, no tilt-semistable object has this class\n"
         assert "UserWarning" not in proc.stderr and "cli.py" not in proc.stderr
 
+    def test_every_empty_box_says_why(self, capsys):
+        # one note per early return of `candidate_box`, and the oracle agrees
+        # that no wall exists
+        for u, note in (
+            ("1,0,1", "disc(u) < 0, no tilt-semistable object has this class"),
+            ("0,0,1", "r = c = 0, the tilt slope of u is infinite everywhere, so no wall exists"),
+            ("0,-1,0", "r = 0 and c < 0, no object of a tilted heart has this class"),
+        ):
+            assert run(["walls", "--u", u, "--rank-bound", "2"]) == 0
+            assert out_of(capsys) == ("no walls", f"note: {note}")
+            assert oracle_enumerate(parse_reduced(u), 2, 12) == set()
+
+    def test_nonempty_scan_prints_no_note(self, capsys):
+        assert run(["walls", "--u", "1,0,-1", "--rank-bound", "2"]) == 0
+        assert out_of(capsys)[1] == ""
+
     def test_oversized_scan_refused_up_front(self, capsys):
         code = run(["walls", "--u", "1,0,-1000000", "--rank-bound", "1000"])
         assert code == 2
@@ -302,6 +321,35 @@ class TestWalls:
     def test_scan_under_the_cap_runs(self, capsys):
         assert run(["walls", "--u", "3,1,-7", "--rank-bound", "8"]) == 0
         assert len(out_of(capsys)[0].splitlines()) == 57
+
+
+class TestWireFormat:
+    def test_no_flag_reads_with_builtin_int(self):
+        # `int` reads '1_0' and non-ASCII digits; `exactnum.parse_int` does not
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert [
+            (name, a.dest) for name, sub in subparsers.choices.items() for a in sub._actions
+            if a.type is int
+        ] == []
+
+    def test_int_outside_the_wire_format_exit_two(self, capsys):
+        for args, flag, text in (
+            (["chi", "--genus", "1_0", "--degree", "3", "--char", "1,0,0,0,0,0"], "--genus", "1_0"),
+            (["chern", *THREEFOLD, "--line-bundle", "1,\u0663"], "--line-bundle", "\u0663"),
+            (["walls", "--u", "1,0,-1", "--rank-bound", "\u0662"], "--rank-bound", "\u0662"),
+        ):
+            assert run(args) == 2
+            out, err = out_of(capsys)
+            assert out == "" and f"argument {flag}: bad " in err
+            assert f"not an integer in 'n' form: '{text}'" in err
+
+    def test_list_count_error_names_what_it_read(self, capsys):
+        assert run(["chern", *THREEFOLD, "--line-bundle", "1,2,3"]) == 2
+        assert out_of(capsys)[1].endswith(
+            "argument --line-bundle: bad pair: pair needs 2 comma-separated entries, got 3: '1,2,3'"
+        )
 
 
 class TestChern:
@@ -498,7 +546,7 @@ class TestConfigAndRoundTrip:
         cfg = tmp_path / "bad.cfg"
         base = ["chi", "--char", "1,0,0,0,0,0", "--genus", "0", "--degree", "1", "--config", str(cfg)]
         for line, message in (
-            ("genus = x", "argument --genus: invalid int value: 'x'"),
+            ("genus = x", "argument --genus: bad integer: not an integer in 'n' form: 'x'"),
             ("format = xml", "argument --format: invalid choice: 'xml'"),
             ("colour = red", "unrecognized arguments: --colour=red"),
         ):

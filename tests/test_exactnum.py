@@ -22,7 +22,10 @@ from tiltwall.exactnum import (
     QuadRat,
     as_rat,
     ceil_sqrt,
+    format_list,
     format_rat,
+    parse_int,
+    parse_list,
     parse_rat,
     rat_sqrt,
 )
@@ -48,6 +51,34 @@ class TestRat:
         with pytest.raises(TypeError, match="float"):
             format_rat(0.1)
 
+    @pytest.mark.parametrize("text,value", [("3", 3), ("-12", -12), ("+4", 4), (" 007 ", 7)])
+    def test_parse_int(self, text, value):
+        assert parse_int(text) == value and type(parse_int(text)) is int
+
+    @pytest.mark.parametrize(
+        "bad", ["1_0", "\u0663", "1\u0660", "\uff11", "1.0", "1/1", "0x1", "", "-", "1e3"]
+    )
+    def test_parse_int_rejects_what_int_alone_reads(self, bad):
+        # `int` reads the first four; the wire format does not
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_int(bad)
+
+    def test_list_round_trip(self):
+        values = [Fraction(-7, 2), 0, 3, Fraction(5, 6)]
+        assert format_list(values) == "-7/2,0,3,5/6"
+        assert parse_list(format_list(values), "list", 4) == values
+
+    def test_list_count_error_names_what_it_read(self):
+        with pytest.raises(ValueError, match=r"^pair needs 2 comma-separated entries, got 3: '1,2,3'$"):
+            parse_list("1,2,3", "pair", 2, parse_int)
+        assert parse_list("1,2,3", "bounds", None, parse_int) == [1, 2, 3]
+
+    def test_list_entries_use_the_entry_reader(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_list("1,1_0", "pair", 2, parse_int)
+        with pytest.raises(ValueError, match="not a rational"):
+            parse_list("1,1.5", "point", 2)
+
     @given(rats, rats)
     def test_exact_add_sub(self, x, y):
         assert (x + y) - y == x
@@ -70,6 +101,14 @@ class TestSqrtHelpers:
         n = ceil_sqrt(q)
         assert n * n >= q
         assert n == 0 or Fraction((n - 1) ** 2) < q
+
+    def test_ceil_sqrt_matches_brute_force(self):
+        # rationals with denominators up to 12, perfect squares and q <= 0
+        qs = [Fraction(p, d) for d in range(1, 13) for p in range(-24, 12 * 40)]
+        qs += [Fraction(k * k) for k in range(60)] + [Fraction(k * k * 144 + e, 144)
+                                                      for k in range(1, 60) for e in (-1, 1)]
+        for q in qs:
+            assert ceil_sqrt(q) == min(n for n in range(100) if n * n >= q), q
 
     def test_rat_sqrt_rejects_float(self):
         with pytest.raises(TypeError, match="float"):

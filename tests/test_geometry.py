@@ -13,7 +13,7 @@ from tiltwall import (
     euler_char,
     euler_char_pair,
     fiber_pushforward_char,
-    format_char,
+    format_list,
     line_bundle_char,
     parse_char,
     tensor_product_char,
@@ -357,7 +357,7 @@ class TestSerialization:
     def test_round_trip(self, rng):
         for _ in range(50):
             ch = rand_lattice_char(rng)
-            assert parse_char(format_char(ch)) == ch
+            assert parse_char(format_list(ch.as_tuple())) == ch
 
     def test_parse_validates_width(self):
         with pytest.raises(ValueError, match="6"):

@@ -1,11 +1,12 @@
 """The README's command-line examples stay true.
 
-Every `tiltwall ...` line of README.md (with `\\` continuations joined) that
-is followed by `# ...` output lines is run through `cli.run`, and its stdout
-is compared with those lines. Lines marked `# (stderr)` describe stderr and
-are not compared. Every `--name` the README mentions must be an option of
-some subcommand, and every backticked CamelCase name an attribute of
-`tiltwall`.
+Every `tiltwall ...` line of README.md (with `\\` continuations joined) is
+run through `cli.run` in a scratch directory. It must exit 0, or 1 for
+`support`, write each file it names with `--svg` or `--csv`, and, when
+`# ...` output lines follow it, print those lines on stdout. Lines marked
+`# (stderr)` describe stderr and are not compared. Every `--name` the README
+mentions must be an option of some subcommand, and every backticked
+CamelCase name an attribute of `tiltwall`.
 """
 
 import argparse
@@ -21,8 +22,9 @@ from tiltwall.cli import build_parser, run
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def readme_examples() -> list[tuple[str, str]]:
-    """(command line, expected stdout) for each README example with output lines."""
+def readme_examples() -> list[tuple[str, str | None]]:
+    """(command line, expected stdout, or None where no output lines follow)
+    for each README example."""
     lines = README.read_text(encoding="utf-8").splitlines()
     examples = []
     i = 0
@@ -39,8 +41,7 @@ def readme_examples() -> list[tuple[str, str]]:
             if not lines[i].startswith("# (stderr)"):
                 shown.append(lines[i][2:])
             i += 1
-        if shown:
-            examples.append((cmd, "".join(line + "\n" for line in shown)))
+        examples.append((cmd, "".join(line + "\n" for line in shown) if shown else None))
     return examples
 
 
@@ -48,13 +49,21 @@ EXAMPLES = readme_examples()
 
 
 def test_examples_found():
-    assert len(EXAMPLES) >= 5
+    assert len(EXAMPLES) >= 8 and sum(stdout is not None for _, stdout in EXAMPLES) >= 5
+    # one example writes both files
+    assert any("--svg" in cmd and "--csv" in cmd for cmd, _ in EXAMPLES)
 
 
 @pytest.mark.parametrize("cmd,stdout", EXAMPLES, ids=[c.split()[1] for c, _ in EXAMPLES])
-def test_example_stdout(cmd, stdout, capsys):
-    run(shlex.split(cmd, comments=True)[1:])
-    assert capsys.readouterr().out == stdout
+def test_example_stdout(cmd, stdout, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(cmd, comments=True)[1:]
+    assert run(argv) == (1 if argv[0] == "support" else 0)
+    if stdout is not None:
+        assert capsys.readouterr().out == stdout
+    for flag, path in zip(argv, argv[1:]):
+        if flag in ("--svg", "--csv"):
+            assert (tmp_path / path).stat().st_size > 0
 
 
 def test_readme_names_only_real_flags():

@@ -16,7 +16,7 @@ from tiltwall import (
     walls_meet,
 )
 from tiltwall.chern import disc_bar_reduced
-from tiltwall.walls import candidate_bound, candidate_box
+from tiltwall.walls import candidate_bound, candidate_box, no_wall_reason
 from conftest import lift, rand_reduced, sub
 from wall_oracle import (
     covering_c_window,
@@ -314,6 +314,18 @@ class TestEnumerate:
             assert radii == sorted(radii, reverse=True)
             kinds = [isinstance(w, VerticalWall) for _, w in got]
             assert kinds == sorted(kinds, reverse=True)
+
+    def test_each_empty_box_has_its_reason(self):
+        for u, reason in (
+            (ReducedClass(1, 0, 1), "disc(u) < 0"),
+            (ReducedClass(0, 0, 1), "r = c = 0"),
+            (ReducedClass(0, 0, 0), "r = c = 0"),
+            (ReducedClass(0, -1, 0), "r = 0 and c < 0"),
+        ):
+            assert no_wall_reason(u).startswith(reason + ", ")
+            assert list(candidate_box(u, 3)) == [] and enumerate_destabilizers(u, 3) == []
+        for u in (ReducedClass(1, 0, -1), ReducedClass(0, 1, Fraction(1, 2)), ReducedClass(2, 0, 0)):
+            assert no_wall_reason(u) is None and list(candidate_box(u, 1)) != []
 
     def test_negative_disc_empty_without_warning(self):
         with warnings.catch_warnings():

@@ -55,6 +55,7 @@ from .walls import (
     VerticalWall,
     Wall,
     candidate_bound,
+    candidate_floor,
     enumerate_destabilizers,
     no_wall_reason,
     numerical_wall,
@@ -286,16 +287,27 @@ def _cmd_wall(args) -> int:
     return 0
 
 
-def _cmd_walls(args) -> int:
-    estimate = candidate_bound(args.u, args.rank_bound)
-    if estimate > MAX_WALL_CANDIDATES:
-        raise CLIInputError(
-            f"the scan would test up to {estimate} candidate classes, "
-            f"more than the cap of {MAX_WALL_CANDIDATES}"
-        )
+def _no_walls_note(args) -> str:
     if reason := no_wall_reason(args.u):
-        print(f"note: {reason}", file=sys.stderr)
+        return reason
+    if args.at is None:
+        return f"no class with |rank| <= {args.rank_bound} passes (A)-(E)"
+    point = f"({format_rat(args.at.alpha2)}, {format_rat(args.at.beta)})"
+    return f"no wall of a class with |rank| <= {args.rank_bound} passes through or above {point}"
+
+
+def _cmd_walls(args) -> int:
+    # the constant-time floor first, so a huge rank bound is refused at once
+    for bound, size in ((candidate_floor, "at least"), (candidate_bound, "up to")):
+        estimate = bound(args.u, args.rank_bound)
+        if estimate > MAX_WALL_CANDIDATES:
+            raise CLIInputError(
+                f"the scan would test {size} {estimate} candidate classes, "
+                f"more than the cap of {MAX_WALL_CANDIDATES}"
+            )
     found = enumerate_destabilizers(args.u, args.rank_bound, args.at)
+    if not found:
+        print(f"note: {_no_walls_note(args)}", file=sys.stderr)
     payload = [
         dict(w=format_list(w.as_tuple()), **_wall_payload(wall))
         for w, wall in found
@@ -345,30 +357,25 @@ def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
     results = run_selftest(args.seed)
-    failed_total = 0
     for name, checks, fails in results:
-        failed_total += fails
-        status = "PASS" if fails == 0 else "FAIL"
-        print(f"{name}: {status} ({checks - fails}/{checks} checks)")
-    print(f"selftest: {'PASS' if failed_total == 0 else 'FAIL'}")
-    return 0 if failed_total == 0 else 1
+        print(f"{name}: {'FAIL' if fails else 'PASS'} ({checks - fails}/{checks} checks)")
+    passed = not any(fails for _, _, fails in results)
+    print(f"selftest: {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
 
 
 # ------------------------------------------------------------------ emission
 
 
 def emit_csv(found: list[tuple[ReducedClass, Wall]], path: str) -> None:
-    import csv
-
+    """CRLF-ended rows; no field holds a comma, quote or newline to quote."""
+    rows = ["w_r,w_c,w_d,wall_type,center,radius_sq"]
+    for w, wall in found:
+        p = _wall_payload(wall)
+        fields = [p["type"], p.get("center", p.get("beta")), p.get("radius_sq", "")]
+        rows.append(",".join([format_list(w.as_tuple()), *fields]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["w_r", "w_c", "w_d", "wall_type", "center", "radius_sq"])
-        for w, wall in found:
-            p = _wall_payload(wall)
-            writer.writerow(
-                [*map(format_rat, w.as_tuple()), p["type"], p.get("center", p.get("beta")),
-                 p.get("radius_sq", "")]
-            )
+        fh.write("".join(row + "\r\n" for row in rows))
 
 
 def emit_svg(walls: list[Wall], query: TiltPoint | None, path: str) -> None:

@@ -216,6 +216,15 @@ def candidate_bound(u: ReducedClass, rank_bound: int) -> int:
     )
 
 
+def candidate_floor(u: ReducedClass, rank_bound: int) -> int:
+    """Lower bound on `candidate_bound` in constant time: each rank that
+    `candidate_box` yields holds a class, and c_u + 1 of them when r_u = 0."""
+    _check_scan_args(u, rank_bound)
+    if no_wall_reason(u):
+        return 0
+    return 2 * rank_bound + 1 if u.r != 0 else 2 * rank_bound * (int(u.c) + 1)
+
+
 def _check_scan_args(u: ReducedClass, rank_bound: int) -> None:
     if not isinstance(rank_bound, int) or rank_bound <= 0:
         raise ValueError("rank_bound must be a positive integer")

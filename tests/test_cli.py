@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import os
 import re
@@ -17,12 +19,13 @@ from tiltwall import (
     bg_weak_defect,
     corollary_defect,
     disc_classical,
+    enumerate_destabilizers,
     fiber_bogomolov_defect,
     nabla,
 )
 from tiltwall.chern import parse_reduced
-from tiltwall.cli import build_parser, run
-from wall_oracle import oracle_enumerate
+from tiltwall.cli import _wall_payload, build_parser, run
+from wall_oracle import oracle_enumerate, oracle_in_region
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 THREEFOLD = ["--genus", "0", "--degree", "3"]
@@ -311,6 +314,44 @@ class TestWalls:
         assert run(["walls", "--u", "1,0,-1", "--rank-bound", "2"]) == 0
         assert out_of(capsys)[1] == ""
 
+    def test_empty_scan_says_why(self, capsys):
+        # the box holds classes, but none passes (A)-(E)
+        assert run(["walls", "--u", "1,1,1/2", "--rank-bound", "2"]) == 0
+        assert out_of(capsys) == ("no walls", "note: no class with |rank| <= 2 passes (A)-(E)")
+        assert oracle_enumerate(parse_reduced("1,1,1/2"), 2, 12) == set()
+        # walls exist, but every one lies below the point
+        assert run(["walls", "--u", "1,0,-1", "--rank-bound", "2", "--at", "100,5"]) == 0
+        assert out_of(capsys) == (
+            "no walls",
+            "note: no wall of a class with |rank| <= 2 passes through or above (100, 5)",
+        )
+        keys = [key for key, _ in oracle_enumerate(parse_reduced("1,0,-1"), 2, 12)]
+        assert keys and not any(oracle_in_region(key, TiltPoint(100, 5)) for key in keys)
+
+    def test_huge_rank_bound_refused_without_a_walk(self, capsys):
+        # 2R + 1 ranks of at least one class; for r_u = 0, 2R ranks of at
+        # least c_u + 1 classes
+        for u, least in (("1,0,-1", 2_000_000_001), ("0,1,1/2", 4_000_000_000)):
+            assert run(["walls", "--u", u, "--rank-bound", "1000000000"]) == 2
+            assert out_of(capsys) == ("", (
+                f"error: the scan would test at least {least} candidate classes, "
+                "more than the cap of 1000000"
+            ))
+
+    def test_csv_rows_match_csv_writer(self, tmp_path):
+        # vertical and semicircle rows, against the `csv` module as reference
+        path = tmp_path / "walls.csv"
+        assert run(["walls", "--u", "1,0,-1", "--rank-bound", "2", "--csv", str(path)]) == 0
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow(["w_r", "w_c", "w_d", "wall_type", "center", "radius_sq"])
+        for w, wall in enumerate_destabilizers(parse_reduced("1,0,-1"), 2):
+            p = _wall_payload(wall)
+            writer.writerow([*map(str, w.as_tuple()), p["type"], p.get("center", p.get("beta")),
+                             p.get("radius_sq", "")])
+        assert {"vertical", "semicircle"} <= {row.split(",")[3] for row in reference.getvalue().split()}
+        assert path.read_bytes() == reference.getvalue().encode()
+
     def test_oversized_scan_refused_up_front(self, capsys):
         code = run(["walls", "--u", "1,0,-1000000", "--rank-bound", "1000"])
         assert code == 2
@@ -463,6 +504,24 @@ class TestSelftest:
         from tiltwall.selftest import run_selftest
 
         assert run_selftest(5) == run_selftest(5)
+
+    def test_a_broken_kernel_fails_its_suite(self, capsys, monkeypatch):
+        # a twist that ignores negative shifts breaks the group law only
+        import tiltwall.selftest as selftest
+
+        real = selftest.twist
+        monkeypatch.setattr(selftest, "twist", lambda ch, b, X: real(ch, max(b, 0), X))
+        assert run(["selftest", "--seed", "0"]) == 1
+        out, err = out_of(capsys)
+        assert err == ""
+        assert out.splitlines() == [
+            "twist group law: FAIL (108/200 checks)",
+            "discriminant and slope invariances: PASS (800/800 checks)",
+            "Euler characteristic ground truth: PASS (108/108 checks)",
+            "main/star defect equivalence: PASS (200/200 checks)",
+            "nested walls: PASS (100/100 checks)",
+            "selftest: FAIL",
+        ]
 
 
 class TestModule:

@@ -47,7 +47,8 @@ def test_detects_a_third_party_import(tmp_path):
 def test_cli_import_skips_heavy_modules():
     """`import tiltwall.cli` runs before every command, so it loads none of the
     modules that code generation or typing would pull in, nor what only
-    `--csv` (csv) or `selftest` (tiltwall.selftest with random) needs."""
+    `selftest` (tiltwall.selftest with random) needs, nor `csv`, which no
+    command needs."""
     heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
              "csv", "random", "tiltwall.selftest"]
     probe = f"import sys, tiltwall.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"

@@ -549,7 +549,7 @@ def run(argv: list[str]) -> int:
     except ConfigGiven:
         print("error: a config file cannot name another config file", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

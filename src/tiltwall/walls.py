@@ -31,7 +31,15 @@ cbar_w + cbar_{u-w} = cbar_u. Eliminating the cbar's shows rho^2 is a ratio
 of integers with numerator at most disc(u)^2 and positive denominator at
 least 4, so rho^2 <= disc(u)^2 / 4. That bounds the center (through
 rho^2 = (center - c_u/r_u)^2 - disc(u)/r_u^2 when r_u != 0, or fixes
-center = d_u/c_u when r_u = 0) and with it the untwisted c_w range per rank.
+center = d_u/c_u when r_u = 0) and with it c_w = cbar_w + center r_w. In
+ints: the center lies within cdev of p/q, and 0 <= cbar_w <= cbar, with
+
+    (p, q) = (c_u, r_u),  cdev = ceil(sqrt(disc(u)^2/4 + disc(u)/r_u^2)),
+    cbar = ceil(sqrt(disc(u) + disc(u)^2 r_u^2/4))            when r_u != 0,
+    (p, q) = (2 d_u, 2 c_u),  cdev = 0,  cbar = c_u              when r_u = 0,
+
+so rank r_w has floor(p r_w/q) - cdev |r_w| <= c_w <= ceil(p r_w/q) +
+cdev |r_w| + cbar.
 Second, given (r_w, c_w) the d_w range is pinned two-sidedly: by
 disc(w) in [0, disc(u)] when r_w != 0, and by disc(u - w) in
 [0, disc(u) - c_w^2] when r_w = 0 != r_u; the remaining case r_w = r_u = 0
@@ -50,11 +58,18 @@ so with floor and ceiling division they clip the box's D range to one exact
 integer interval, and only D inside it is visited. On that interval (D) and
 (E) are tested without a Fraction: the semicircle exists iff
 P^2 - 4 O chi > 0 (its squared radius is that over 4 chi^2), the vertical
-wall iff chi = 0 != P, and the window 0 <= c_w - b r_w <= c_u - b r_u at the
-apex b = P / (2 chi), or b = O / P on a vertical wall, is multiplied through
-by the positive 2 |chi|, or |P|. Only a class passing (A)-(E) gets its
-`ReducedClass`, its Fraction wall and the region filter. The box only needs
-to be a superset of the admissible classes.
+wall iff chi = 0 != P, and the window's lower half 0 <= c_w - b r_w at the
+apex b = P / (2 chi) is multiplied through by 2 chi^2. Its upper half
+cbar_w <= cbar_u needs no test. At the apex
+
+    rho^2 chi^2 = cbar_w cbar_{u-w} (disc(u) - disc(w) - disc(u - w))
+                  - cbar_w^2 disc(u - w) - cbar_{u-w}^2 disc(w),
+
+so cbar_w >= 0 > cbar_u - cbar_w = cbar_{u-w} and (A)-(C) would give
+chi = 0, no semicircle. On a vertical wall b = O / P, and
+P c_x - O r_x = D_x chi = 0 makes cbar_w = cbar_u = 0. Only a class passing
+(A)-(E) gets its `ReducedClass`, its Fraction wall and the region filter.
+The box only needs to be a superset of the admissible classes.
 
 The window (E) checked at the apex is equivalent to the window on the whole
 wall: c^b(w) is linear in b along the wall chord and (A) gives
@@ -163,29 +178,20 @@ def candidate_box(u: ReducedClass, rank_bound: int):
         return
     delta = disc_bar_reduced(u)
     r_u, c_u, d_u = u.r, u.c, u.dd
-
     if r_u != 0:
-        mu = c_u / r_u
         rho2max = delta * delta / 4
-        cdev = Fraction(ceil_sqrt(rho2max + delta / (r_u * r_u)))
-        cbar_max = Fraction(ceil_sqrt(delta + rho2max * r_u * r_u))
-        c_min_center, c_max_center = mu - cdev, mu + cdev
+        p, q = int(c_u), int(r_u)
+        cdev = ceil_sqrt(rho2max + delta / (r_u * r_u))
+        cbar = ceil_sqrt(delta + rho2max * r_u * r_u)
     else:
-        fixed_center = d_u / c_u
-        cbar_max = c_u
+        p, q, cdev, cbar = int(2 * d_u), int(2 * c_u), 0, int(c_u)
 
     for r_w in range(-rank_bound, rank_bound + 1):
-        if r_u != 0:
-            ends = (c_min_center * r_w, c_max_center * r_w)
-            lo = min(ends)
-            hi = max(ends) + cbar_max
-        else:
-            if r_w == 0:
-                continue  # no wall exists against a rank-0 base class
-            lo = fixed_center * r_w
-            hi = fixed_center * r_w + cbar_max
-        c_lo = lo.numerator // lo.denominator
-        c_hi = -((-hi.numerator) // hi.denominator)
+        if r_w == 0 == r_u:
+            continue  # no wall exists against a rank-0 base class
+        floor, rem = divmod(p * r_w, q)
+        dev = cdev * abs(r_w)
+        c_lo, c_hi = floor - dev, floor + (rem != 0) + dev + cbar
 
         def d_interval(c_w: int, r_w=r_w):
             cw2 = Fraction(c_w * c_w)
@@ -274,22 +280,15 @@ def enumerate_destabilizers(
             for D in range(lo, hi + 1):
                 P = r_u * D - r_w * D_u  # 2 psi
                 O = c_u * D - c_w * D_u  # 2 omega
-                # (D) and (E): the window 0 <= c_w - b0 r_w <= c_u - b0 r_u at
-                # the apex b0 = P / (2 chi), or O / P on a vertical wall,
-                # cleared of its positive denominator.
+                # (D) and (E): the semicircle exists iff P^2 - 4 O chi > 0, and
+                # the window's lower half 0 <= c_w - b0 r_w at its apex
+                # b0 = P / (2 chi), times 2 chi^2, is (2 chi c_w - P r_w) chi >= 0.
+                # The upper half follows from (A)-(C), and on a vertical wall
+                # (chi = 0 != P) both halves read 0 <= 0 <= 0.
                 if chi != 0:
-                    if P * P - 4 * O * chi <= 0:
+                    if P * P - 4 * O * chi <= 0 or (2 * chi * c_w - P * r_w) * chi < 0:
                         continue
-                    s = 1 if chi > 0 else -1
-                    cw = s * (2 * chi * c_w - P * r_w)
-                    cu = s * (2 * chi * c_u - P * r_u)
-                elif P != 0:
-                    s = 1 if P > 0 else -1
-                    cw = s * (P * c_w - O * r_w)
-                    cu = s * (P * c_u - O * r_u)
-                else:
-                    continue
-                if not 0 <= cw <= cu:
+                elif P == 0:
                     continue
                 w = ReducedClass(r_w, c_w, Fraction(D, 2))
                 wall = numerical_wall(u, w)

@@ -10,6 +10,8 @@ library apart from `euler_char_pair` in `chi_bounds_via_rr`. At the end are
 the hand-expanded untwisted coefficients of Z and Gram rows of Q_weak and
 Q_disc, as plain tuples, the reference for `central_charge`,
 `bg_weak_defect` and `disc_bar`; `quad_value` evaluates a Gram at a vector.
+Last is the Fraction `candidate_box` of the destabilizer scan, the reference
+for its integer c range.
 """
 
 from fractions import Fraction
@@ -29,7 +31,9 @@ from tiltwall import (
     TiltPoint,
     euler_char_pair,
 )
-from tiltwall.exactnum import Rat
+from tiltwall.chern import ReducedClass, disc_bar_reduced
+from tiltwall.exactnum import Rat, ceil_sqrt
+from tiltwall.walls import no_wall_reason
 
 
 def reference_twist(ch, beta, X):
@@ -354,3 +358,48 @@ def disc_bar_gram() -> Gram:
 def quad_value(rows: Gram, v: Sequence[Rat]) -> Rat:
     """v^T M v for the Gram rows M."""
     return sum(v[i] * rows[i][j] * v[j] for i in range(6) for j in range(6))
+
+
+def candidate_box(u: ReducedClass, rank_bound: int):
+    """Per-rank (c range, d interval) of the scan, with Fraction ends for the
+    c range when r_u != 0 and a fixed center d_u/c_u when r_u = 0."""
+    if no_wall_reason(u):
+        return
+    delta = disc_bar_reduced(u)
+    r_u, c_u, d_u = u.r, u.c, u.dd
+
+    if r_u != 0:
+        mu = c_u / r_u
+        rho2max = delta * delta / 4
+        cdev = Fraction(ceil_sqrt(rho2max + delta / (r_u * r_u)))
+        cbar_max = Fraction(ceil_sqrt(delta + rho2max * r_u * r_u))
+        c_min_center, c_max_center = mu - cdev, mu + cdev
+    else:
+        fixed_center = d_u / c_u
+        cbar_max = c_u
+
+    for r_w in range(-rank_bound, rank_bound + 1):
+        if r_u != 0:
+            ends = (c_min_center * r_w, c_max_center * r_w)
+            lo = min(ends)
+            hi = max(ends) + cbar_max
+        else:
+            if r_w == 0:
+                continue  # no wall exists against a rank-0 base class
+            lo = fixed_center * r_w
+            hi = fixed_center * r_w + cbar_max
+        c_lo = lo.numerator // lo.denominator
+        c_hi = -((-hi.numerator) // hi.denominator)
+
+        def d_interval(c_w: int, r_w=r_w):
+            cw2 = Fraction(c_w * c_w)
+            if r_w != 0:
+                a, b = (cw2 - delta) / (2 * r_w), cw2 / (2 * r_w)
+                return (a, b) if a <= b else (b, a)
+            if cw2 > delta:
+                return None
+            base = 2 * r_u * d_u - (c_u - c_w) ** 2
+            a, b = base / (2 * r_u), (base + delta - cw2) / (2 * r_u)
+            return (a, b) if a <= b else (b, a)
+
+        yield r_w, c_lo, c_hi, d_interval

@@ -529,6 +529,21 @@ class TestModule:
         proc = run_module(["chi", "--genus", "2", "--degree", "5", "--char", "1,0,0,0,0,0"])
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-1\n", "")
 
+    def test_value_beyond_float_range_is_an_input_error(self, tmp_path):
+        # `--approx` and the SVG draw decimals, and 10^400 has no float
+        huge = "1" + "0" * 400
+        for args in (
+            ["chi", *THREEFOLD, "--char", f"1,0,0,0,0,{huge}", "--approx"],
+            ["walls", "--u", "1,0,-1", "--rank-bound", "1", "--at", f"{huge},0",
+             "--svg", str(tmp_path / "huge.svg")],
+        ):
+            proc = run_module(args)
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert "Traceback" not in proc.stderr
+            assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
+                "error: integer division result too large for a float"
+            ]
+
 
 class TestConfigAndRoundTrip:
     def test_config_file_supplies_defaults(self, tmp_path, capsys):

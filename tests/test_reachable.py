@@ -155,6 +155,10 @@ COMMANDS = [
     (["walls", "--u", "1,0,-1", "--rank-bound", "0"], 2),
     (["walls", "--u", "1,0,-1", "--rank-bound", "1", "--at", "0,1"], 2),
     (["walls", "--u", "1,0,-1", "--rank-bound", "1", "--csv", "no/such/dir.csv"], 2),
+    # a value beyond the float range, which `--approx` and the SVG cannot draw
+    (["chi", "--char", "1,0,0,0,0,1" + "0" * 400, *X, "--approx"], 2),
+    (["walls", "--u", "1,0,-1", "--rank-bound", "1", "--at", "1" + "0" * 400 + ",0",
+      "--svg", "huge.svg"], 2),
 ]
 
 CONFIGS = {

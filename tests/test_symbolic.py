@@ -189,3 +189,23 @@ def test_window_at_apex_holds_along_the_wall():
     cu_b, cw_b = (x[1] - (B0 + t * rho) * x[0] for x in (U, W))
     assert sp.expand((cu_b - cw_b) - (V[1] - (B0 + t * rho) * V[0])) == 0
     assert sp.expand((p - m) ** 2 - ((p + m) ** 2 - 4 * p * m)) == 0
+
+
+def test_window_upper_half_follows_from_abc():
+    # The scan tests only the lower half 0 <= cbar_w of the window (E). At the
+    # apex, with cbar_v = cbar_u - cbar_w for v = u - w,
+    #   rho^2 chi^2 = cbar_w cbar_v (disc(u) - disc(w) - disc(v))
+    #                 - cbar_w^2 disc(v) - cbar_v^2 disc(w).
+    # If cbar_w >= 0 but cbar_w > cbar_u, then cbar_v < 0 and (A), (B), (C)
+    # make every term on the right <= 0, so chi = 0 and there is no semicircle.
+    chi = RU * CW - RW * CU
+    cbar_w, cbar_v = (c - B0 * r for r, c, _ in (W, V))
+    disc_u, disc_w, disc_v = (c**2 - 2 * r * d for r, c, d in (U, W, V))
+    rhs = cbar_w * cbar_v * (disc_u - disc_w - disc_v) - cbar_w**2 * disc_v - cbar_v**2 * disc_w
+    assert sp.simplify(RHO2 * chi**2 - rhs) == 0
+    # A vertical wall (chi = 0 != P) sits at b = O / P, in doubled coordinates
+    # D = 2 d, where P c_x - O r_x = D_x chi for x = u and w: the window reads
+    # cbar_w = cbar_u = 0 there.
+    P, O = RU * 2 * DW - RW * 2 * DU, CU * 2 * DW - CW * 2 * DU
+    for r, c, d in (U, W):
+        assert sp.expand(P * c - O * r - 2 * d * chi) == 0

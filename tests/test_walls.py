@@ -16,7 +16,8 @@ from tiltwall import (
     walls_meet,
 )
 from tiltwall.chern import disc_bar_reduced
-from tiltwall.walls import candidate_bound, candidate_box, no_wall_reason
+from tiltwall.walls import candidate_bound, candidate_box, candidate_floor, no_wall_reason
+import reference_formulas as ref
 from conftest import lift, rand_reduced, sub
 from wall_oracle import (
     covering_c_window,
@@ -285,6 +286,28 @@ class TestEnumerate:
         assert candidate_bound(ReducedClass(1, 0, 1), 2) == 0
         with pytest.raises(ValueError):
             candidate_bound(ReducedClass(1, 0, -1), 0)
+
+    def test_box_matches_the_fraction_reference(self):
+        # r_u < 0, rank-0 classes with a non-integral center, disc(u) = 0 and
+        # half-integer d_u, beside a sweep of small classes
+        named = [(-3, 2, Fraction(-1, 2)), (0, 3, Fraction(1, 2)), (0, 2, -1), (2, 2, 1),
+                 (-1, 1, Fraction(-1, 2)), (3, 1, Fraction(-7, 2)), (3, 1, -7)]
+        sweep = [(r, c, Fraction(D, 2)) for r in range(-2, 3) for c in range(-1, 3)
+                 for D in range(-3, 4)]
+        for u in (ReducedClass(*x) for x in named + sweep):
+            delta = int(disc_bar_reduced(u))
+            for rank_bound in range(1, 13):
+                got, want = list(candidate_box(u, rank_bound)), list(ref.candidate_box(u, rank_bound))
+                assert [row[:3] for row in got] == [row[:3] for row in want]
+                assert all(type(c) is int for row in got for c in row[1:3])
+                bound = sum((c_hi - c_lo + 1) * (delta // abs(r_w or u.r) + 1)
+                            for r_w, c_lo, c_hi, _ in want)
+                assert candidate_bound(u, rank_bound) == bound
+                per_rank = 1 if u.r != 0 else int(u.c) + 1
+                assert candidate_floor(u, rank_bound) == len(want) * per_rank <= bound
+            # the largest box holds every rank of the smaller ones
+            for (_r, c_lo, c_hi, d_interval), (*_, d_reference) in zip(got, want):
+                assert all(d_interval(c_w) == d_reference(c_w) for c_w in range(c_lo, c_hi + 1))
 
     def test_window_holds_along_whole_wall(self):
         for u in (ReducedClass(1, 0, -1), ReducedClass(2, 1, 0), ReducedClass(1, 1, -2)):

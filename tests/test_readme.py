@@ -12,38 +12,12 @@ CamelCase name an attribute of `tiltwall`.
 import argparse
 import re
 import shlex
-from pathlib import Path
 
 import pytest
 
 import tiltwall
+from cli_corpus import README, readme_examples
 from tiltwall.cli import build_parser, run
-
-README = Path(__file__).resolve().parents[1] / "README.md"
-
-
-def readme_examples() -> list[tuple[str, str | None]]:
-    """(command line, expected stdout, or None where no output lines follow)
-    for each README example."""
-    lines = README.read_text(encoding="utf-8").splitlines()
-    examples = []
-    i = 0
-    while i < len(lines):
-        cmd = lines[i]
-        i += 1
-        if not cmd.startswith("tiltwall "):
-            continue
-        while cmd.endswith("\\") and i < len(lines):
-            cmd = cmd[:-1].rstrip() + " " + lines[i].strip()
-            i += 1
-        shown = []
-        while i < len(lines) and lines[i].startswith("# "):
-            if not lines[i].startswith("# (stderr)"):
-                shown.append(lines[i][2:])
-            i += 1
-        examples.append((cmd, "".join(line + "\n" for line in shown) if shown else None))
-    return examples
-
 
 EXAMPLES = readme_examples()
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import QuadRat, Rat, Record, as_rat, lattice_error, parse_list
+from .exactnum import QuadRat, Rat, Record, as_rat, parse_list
 from .geometry import CharVector, RuledThreefold, line_bundle_char, tensor_product_char
 
 
@@ -14,9 +14,6 @@ class ReducedClass(Record):
 
     FIELDS = ("r", "c", "dd")
     LATTICE = (("r", 1), ("c", 1), ("d", 2))
-
-    def is_lattice(self) -> bool:
-        return lattice_error(self) is None
 
 
 class TiltPoint(Record):

@@ -62,10 +62,6 @@ from .walls import (
 )
 
 
-class CLIInputError(ValueError):
-    pass
-
-
 def _type(parser_fn, what):
     def convert(text):
         try:
@@ -120,7 +116,7 @@ def apply_config(argv: list[str]) -> list[str]:
             if not line:
                 continue
             if "=" not in line:
-                raise CLIInputError(f"config line without '=': {line!r}")
+                raise ValueError(f"config line without '=': {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             flag = f"--{key}"
             if value.lower() == "true":
@@ -133,7 +129,7 @@ def apply_config(argv: list[str]) -> list[str]:
 
 def _threefold(args) -> RuledThreefold:
     if args.genus is None or args.degree is None:
-        raise CLIInputError("this command needs --genus and --degree")
+        raise ValueError("this command needs --genus and --degree")
     X = RuledThreefold(args.genus, args.degree)
     if X.degree < 0:
         print("note: degree < 0, the relative hyperplane class is not nef", file=sys.stderr)
@@ -155,7 +151,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 def _require(args, names: list[str]) -> None:
     missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
     if missing:
-        raise CLIInputError("missing required flags: " + ", ".join(f"--{n}" for n in missing))
+        raise ValueError("missing required flags: " + ", ".join(f"--{n}" for n in missing))
 
 
 def _point_flags(args) -> TiltPoint:
@@ -174,7 +170,7 @@ def _charge_flags(args) -> ChargeParams:
 def _cmd_chern(args) -> int:
     X = _threefold(args)
     if (args.char is None) == (args.line_bundle is None):
-        raise CLIInputError("give exactly one of --char or --line-bundle")
+        raise ValueError("give exactly one of --char or --line-bundle")
     ch = args.char if args.char is not None else line_bundle_char(*args.line_bundle, X)
     if args.dual:
         ch = dual_char(ch)
@@ -188,7 +184,7 @@ def _cmd_chern(args) -> int:
     payload: dict = {
         "char": format_list(ch.as_tuple()),
         "reduced": format_list(red.as_tuple()),
-        "lattice": ch.is_lattice(),
+        "lattice": lattice_error(ch) is None,
         "disc_bar": format_rat(disc_bar(ch)),
         "disc_tilde0": format_rat(disc_tilde(ch, 0, X)),
         "nabla": format_rat(nabla(ch, X)),
@@ -301,7 +297,7 @@ def _cmd_walls(args) -> int:
     for bound, size in ((candidate_floor, "at least"), (candidate_bound, "up to")):
         estimate = bound(args.u, args.rank_bound)
         if estimate > MAX_WALL_CANDIDATES:
-            raise CLIInputError(
+            raise ValueError(
                 f"the scan would test {size} {estimate} candidate classes, "
                 f"more than the cap of {MAX_WALL_CANDIDATES}"
             )

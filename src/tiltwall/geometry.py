@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .exactnum import Rat, Record, lattice_error, parse_list
+from .exactnum import Rat, Record, parse_list
 
 
 class RuledThreefold(Record):
@@ -61,10 +61,6 @@ class CharVector(Record):
             r.numerator * (L // rq), c1.numerator * (L // c1q), c2.numerator * (L // c2q),
             f.numerator * (L // fq), h.numerator * (L // hq), e.numerator * (L // eq),
         )
-
-    def is_lattice(self) -> bool:
-        """Integrality pattern Z, Z, Z, Z/2, Z/2, Z/6."""
-        return lattice_error(self) is None
 
 
 CHAR_O = CharVector(1, 0, 0, 0, 0, 0)

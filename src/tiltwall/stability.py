@@ -110,16 +110,6 @@ class HeartReport(Record):
               "rank_nonpos", "branch3_checked", "ch3_nonneg")
     _coerce = None  # bools
 
-    @property
-    def passes(self) -> bool:
-        return (
-            self.hf_ch1_nonneg
-            and self.h_ch2_nonneg
-            and self.f_ch2_nonneg
-            and self.rank_nonpos
-            and self.ch3_nonneg
-        )
-
 
 def heart_sign_constraints(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> HeartReport:
     _, (R, C1, _, DF, DH, E) = _twist_scaled(ch, pt.beta, X.degree)

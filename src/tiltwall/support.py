@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .exactnum import Rat, Record, as_rat
+from .exactnum import Rat, Record
 from .geometry import CharVector, RuledThreefold
 from .inequalities import bg_weak_defect, disc_bar
 from .stability import ChargeParams, central_charge
@@ -36,7 +36,6 @@ from .stability import ChargeParams, central_charge
 # Never built; bench/ reads it and calls verify_support positionally. ROADMAP item 1 removes both.
 class SupportWitness(Record):
     FIELDS = ("lam", "mu", "form")
-    _coerce = None
 
 
 def null_kernel_vector(p: ChargeParams, X: RuledThreefold) -> tuple[Rat, ...]:
@@ -63,16 +62,8 @@ def verify_support(
     lambda_candidates: Sequence[Rat | int],
     mu_candidates: Sequence[Rat | int],
 ) -> None:
-    """Look for a support-property witness mu*Q_weak + lambda*Q_disc among
-    the candidates; there is none, for any charge.
-
-    The candidates are validated, then `null_kernel_vector` proves that no
-    member of the family is a witness. The answer None means "no witness".
+    """No mu*Q_weak + lambda*Q_disc is a support-property witness, for any
+    charge and any candidates: `null_kernel_vector` proves it, so the
+    candidate lists are not read. The answer None means "no witness".
     """
-    lams = [as_rat(x) for x in lambda_candidates]
-    mus = [as_rat(x) for x in mu_candidates]
-    if any(x < 0 for x in lams):
-        raise ValueError("lambda candidates must be nonnegative")
-    if any(x <= 0 for x in mus):
-        raise ValueError("mu candidates must be positive")
     null_kernel_vector(p, X)

@@ -27,12 +27,20 @@ which forces d^apex = (rho^2/2) r for u, w and u - w, hence
 
 (sympy proves both for u, w and u - w in `tests/test_symbolic.py`), and
 the window (E) makes all three cbar values nonnegative with
-cbar_w + cbar_{u-w} = cbar_u. Eliminating the cbar's shows rho^2 is a ratio
-of integers with numerator at most disc(u)^2 and positive denominator at
-least 4, so rho^2 <= disc(u)^2 / 4. That bounds the center (through
-rho^2 = (center - c_u/r_u)^2 - disc(u)/r_u^2 when r_u != 0, or fixes
-center = d_u/c_u when r_u = 0) and with it c_w = cbar_w + center r_w. In
-ints: the center lies within cdev of p/q, and 0 <= cbar_w <= cbar, with
+cbar_w + cbar_{u-w} = cbar_u. (A)-(C) alone give rho^2 <= disc(u)^2 / 4:
+in the doubled coordinates of the scan (below) chi, P, O and every disc
+are ints, and with e = disc(u) - disc(w) - disc(u - w)
+
+    4 chi^2 rho^2 = P^2 - 4 O chi = e^2 - 4 disc(w) disc(u - w),
+
+where (A) and (B) give disc(w), disc(u - w) >= 0, hence e <= disc(u), and
+(C) gives e >= 0. So rho^2 is a ratio of integers whose numerator is at
+most disc(u)^2 and whose denominator 4 chi^2 is at least 4 (chi != 0 on a
+semicircle); `tests/test_symbolic.py` checks each step. This limits the
+center (through rho^2 = (center - c_u/r_u)^2 - disc(u)/r_u^2 when
+r_u != 0, or fixes center = d_u/c_u when r_u = 0) and with it
+c_w = cbar_w + center r_w. In ints: the center lies within cdev of p/q,
+and 0 <= cbar_w <= cbar, with
 
     (p, q) = (c_u, r_u),  cdev = ceil(sqrt(disc(u)^2/4 + disc(u)/r_u^2)),
     cbar = ceil(sqrt(disc(u) + disc(u)^2 r_u^2/4))            when r_u != 0,
@@ -82,7 +90,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chern import ReducedClass, TiltPoint, disc_bar_reduced
-from .exactnum import Record, ceil_sqrt
+from .exactnum import Record, ceil_sqrt, lattice_error
 
 
 class VerticalWall(Record):
@@ -234,7 +242,7 @@ def candidate_floor(u: ReducedClass, rank_bound: int) -> int:
 def _check_scan_args(u: ReducedClass, rank_bound: int) -> None:
     if not isinstance(rank_bound, int) or rank_bound <= 0:
         raise ValueError("rank_bound must be a positive integer")
-    if not u.is_lattice():
+    if lattice_error(u):
         raise ValueError("u must be a lattice class (integer r, c and half-integer d)")
 
 

@@ -19,6 +19,7 @@ repository root and list the changed lines in CHANGES.md:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -26,20 +27,23 @@ import os
 import shlex
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from cli_corpus import COMMANDS, CONFIGS, readme_examples
+from tiltwall.cli import build_parser, run
 
 TRANSCRIPT = Path(__file__).with_name("cli_transcript.txt")
-SUBCOMMANDS = ("chern", "slope", "check", "wall", "walls", "chi", "support", "selftest")
 
 
-def transcript_commands() -> list[list[str]]:
-    """The argv of every command the transcript covers, in its order."""
+def transcript_commands(parser: argparse.ArgumentParser) -> list[list[str]]:
+    """The argv of every command the transcript covers, in its order; the
+    subcommands are read from `parser`."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return (
         [argv for argv, _ in COMMANDS]
         + [shlex.split(cmd, comments=True)[1:] for cmd, _ in readme_examples()]
         + [["--help"]]
-        + [[name, "--help"] for name in SUBCOMMANDS]
+        + [[name, "--help"] for name in subparsers.choices]
     )
 
 
@@ -52,45 +56,36 @@ def _block(label: str, text: str) -> list[str]:
     return out
 
 
-def run_command(run, argv: list[str], work: Path) -> list[str]:
-    """The transcript lines of one command run in the directory `work`."""
+def run_command(argv: list[str]) -> list[str]:
+    """The transcript lines of one command, run in the working directory."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(list(argv))
+        code = run(argv)
     lines = ["$ tiltwall " + shlex.join(argv), f"exit {code}"]
     lines += _block("out", out.getvalue()) + _block("err", err.getvalue())
     for flag, path in zip(argv, argv[1:]):
         if flag in ("--csv", "--svg"):
-            target = work / path
-            digest = hashlib.sha256(target.read_bytes()).hexdigest() if target.is_file() else "absent"
-            lines.append(f"file {path} {digest}")
+            target = Path(path)
+            digest = hashlib.sha256(target.read_bytes()).hexdigest() if target.is_file() else None
+            lines.append(f"file {path} {digest or 'absent'}")
     return lines
 
 
 def build_transcript() -> str:
     """The transcript text, from running every command of `transcript_commands`."""
-    from tiltwall.cli import run
-
     lines: list[str] = []
-    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
-        with tempfile.TemporaryDirectory() as scratch:
-            for i, argv in enumerate(transcript_commands()):
-                work = Path(scratch, str(i))
-                work.mkdir()
-                for name, text in CONFIGS.items():
-                    (work / name).write_text(text, encoding="latin-1")
-                os.chdir(work)
-                try:
-                    lines += run_command(run, argv, work) + [""]
-                finally:
-                    os.chdir(cwd)
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
+    cwd = os.getcwd()
+    with mock.patch.dict(os.environ, COLUMNS="80"), tempfile.TemporaryDirectory() as scratch:
+        for i, argv in enumerate(transcript_commands(build_parser())):
+            work = Path(scratch, str(i))
+            work.mkdir()
+            for name, text in CONFIGS.items():
+                (work / name).write_text(text, encoding="latin-1")
+            os.chdir(work)
+            try:
+                lines += run_command(argv) + [""]
+            finally:
+                os.chdir(cwd)
     return "\n".join(lines)
 
 

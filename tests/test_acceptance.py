@@ -16,7 +16,6 @@ from tiltwall import (
     CharVector,
     ReducedClass,
     RuledThreefold,
-    TiltPoint,
     bg_main_defect,
     bg_star_defect,
     bg_weak_defect,
@@ -40,40 +39,11 @@ from tiltwall import (
 from tiltwall.chern import disc_bar_reduced
 from reference_formulas import bg_weak_gram, chi_bounds_via_rr, quad_value
 from tiltwall.walls import EVERYWHERE, SemicircleWall
-from conftest import lift
+from conftest import lift, rand_lattice_char, rand_point, rand_rat, rand_reduced, rand_threefold
 from wall_oracle import covering_c_window, oracle_enumerate, result_to_set, sample_points
 
 SEED = 20260809
 BASIS = [CharVector(*[int(i == j) for j in range(6)]) for i in range(6)]
-
-
-def _rat(rng, span=12, den=6):
-    return Fraction(rng.randint(-span, span), rng.randint(1, den))
-
-
-def _char(rng):
-    return CharVector(
-        rng.randint(-5, 5),
-        rng.randint(-5, 5),
-        rng.randint(-8, 8),
-        Fraction(rng.randint(-10, 10), 2),
-        Fraction(rng.randint(-10, 10), 2),
-        Fraction(rng.randint(-18, 18), 6),
-    )
-
-
-def _reduced(rng):
-    return ReducedClass(
-        rng.randint(-3, 3), rng.randint(-4, 4), Fraction(rng.randint(-8, 8), 2)
-    )
-
-
-def _threefold(rng):
-    return RuledThreefold(rng.randint(0, 5), rng.randint(-3, 5))
-
-
-def _point(rng):
-    return TiltPoint(Fraction(rng.randint(1, 9), rng.randint(1, 4)), _rat(rng))
 
 
 def test_criterion_1_hrr_ground_truth():
@@ -89,11 +59,11 @@ def test_criterion_1_hrr_ground_truth():
 def test_criterion_2_chi_functionals():
     rng = random.Random(SEED + 2)
     for _ in range(10):
-        X = _threefold(rng)
+        X = rand_threefold(rng)
         for v in BASIS:
             assert prop42_chi_bounds(v, X) == chi_bounds_via_rr(v, X)
         for _ in range(100):
-            ch = _char(rng)
+            ch = rand_lattice_char(rng)
             assert prop42_chi_bounds(ch, X) == chi_bounds_via_rr(ch, X)
     print("ACCEPTANCE 2: PASS - displayed chi functionals match Riemann-Roch pairing exactly")
 
@@ -102,9 +72,9 @@ def test_criterion_3_equivalence_identity():
     rng = random.Random(SEED + 3)
     seen = 0
     while seen < 1000:
-        X = _threefold(rng)
-        ch = _char(rng)
-        pt = _point(rng)
+        X = rand_threefold(rng)
+        ch = rand_lattice_char(rng)
+        pt = rand_point(rng)
         c_b = ch.cHF - pt.beta * ch.r
         if c_b == 0:
             continue
@@ -116,11 +86,11 @@ def test_criterion_3_equivalence_identity():
 def test_criterion_4_invariance_suite():
     rng = random.Random(SEED + 4)
     for _ in range(1000):
-        X = _threefold(rng)
-        ch = _char(rng)
-        b, b2 = _rat(rng), _rat(rng)
+        X = rand_threefold(rng)
+        ch = rand_lattice_char(rng)
+        b, b2 = rand_rat(rng), rand_rat(rng)
         m = rng.randint(-6, 6)
-        pt = _point(rng)
+        pt = rand_point(rng)
         assert disc_bar(twist(ch, b, X)) == disc_bar(ch)
         assert nabla(twist(ch, b, X), X) == nabla(ch, X)
         assert disc_tilde(tensor_line(ch, 0, m, X), b, X) == disc_tilde(ch, b, X)
@@ -156,7 +126,7 @@ def test_criterion_6_wall_geometry():
     # (a) slope equality at 5 rational points per wall, 200 pairs
     seen = 0
     while seen < 200:
-        u, w = _reduced(rng), _reduced(rng)
+        u, w = rand_reduced(rng), rand_reduced(rng)
         wall = numerical_wall(u, w)
         if not isinstance(wall, SemicircleWall):
             continue
@@ -167,11 +137,11 @@ def test_criterion_6_wall_geometry():
     # (b) nested walls: identical or disjoint for classes of nonnegative disc
     seen = 0
     while seen < 200:
-        u = _reduced(rng)
+        u = rand_reduced(rng)
         if disc_bar_reduced(u) < 0:
             continue
-        a = numerical_wall(u, _reduced(rng))
-        b = numerical_wall(u, _reduced(rng))
+        a = numerical_wall(u, rand_reduced(rng))
+        b = numerical_wall(u, rand_reduced(rng))
         if a in (None, EVERYWHERE) or b in (None, EVERYWHERE):
             continue
         seen += 1
@@ -181,8 +151,8 @@ def test_criterion_6_wall_geometry():
     # of u's pencil through pt has center beta + nu and radius^2 alpha^2 + nu^2
     seen = 0
     while seen < 200:
-        u = _reduced(rng)
-        pt = _point(rng)
+        u = rand_reduced(rng)
+        pt = rand_point(rng)
         s = nu(lift(u), pt)
         if s.is_infinite:
             continue
@@ -219,9 +189,9 @@ def test_criterion_8_support_machinery():
 
     # the weak defect is the hand-expanded Gram form of b*c - a*d on 1000 samples
     for _ in range(1000):
-        X = _threefold(rng)
-        pt = _point(rng)
-        ch = _char(rng)
+        X = rand_threefold(rng)
+        pt = rand_point(rng)
+        ch = rand_lattice_char(rng)
         assert quad_value(bg_weak_gram(pt, X), ch.as_tuple()) == bg_weak_defect(ch, pt, X)
 
     # the family yields no witness, and says why: an exact null kernel vector

@@ -364,7 +364,7 @@ class TestSerialization:
             parse_char("1,2,3")
 
     def test_lattice_validation_messages(self):
-        # one table per type gives both is_lattice and the first offending entry
+        # one table per type gives the first offending entry
         for text, message in (
             ("1,0,0,1/3,0,0", "entry dF = 1/3 must be a half-integer"),
             ("1,0,0,0,0,1/4", "entry e = 1/4 must be a sixth-integer"),
@@ -372,12 +372,12 @@ class TestSerialization:
             ("0,0,1/2,1/2,3/2,1/6", "entry cHH = 1/2 must be an integer"),
         ):
             ch = parse_char(text)
-            assert lattice_error(ch) == message and not ch.is_lattice()
+            assert lattice_error(ch) == message
         assert lattice_error(parse_char("1,2,3,1/2,-3/2,5/6")) is None
         for text, message in (
             ("1,1/3,0", "entry c = 1/3 must be an integer"),
             ("1,0,1/3", "entry d = 1/3 must be a half-integer"),
         ):
             u = parse_reduced(text)
-            assert lattice_error(u) == message and not u.is_lattice()
-        assert parse_reduced("-1,2,-3/2").is_lattice()
+            assert lattice_error(u) == message
+        assert lattice_error(parse_reduced("-1,2,-3/2")) is None

@@ -69,7 +69,6 @@ ALLOWED = {
     ("stability.heart_sign_constraints",
      "def heart_sign_constraints(ch: CharVector, pt: TiltPoint, X: RuledThreefold) -> HeartReport:"):
         BENCH,
-    ("stability.HeartReport.passes", "def passes(self) -> bool:"): BENCH,
     ("support.verify_support", "def verify_support("): BENCH,
     ("exactnum.QuadRat._key", "def _key(self) -> tuple[Rat, Rat]:"): QUAD_EQ,
     ("exactnum.QuadRat.__eq__", "def __eq__(self, other):"): QUAD_EQ,
@@ -382,6 +381,16 @@ def test_allowlist_is_still_needed(executed):
     # an entry whose line runs, or is deleted, leaves the allowlist
     reported = set(unexecuted(SOURCES, executed))
     assert [key for key in ALLOWED if key not in reported] == []
+
+
+def test_bench_excuses_name_what_bench_reads():
+    # a BENCH entry's last name is an attribute that the algebra workload
+    # reads; the file is parsed as text, since tests never import bench/
+    text = (ROOT / "bench" / "algebra_workload.py").read_text(encoding="utf-8")
+    read = {node.attr for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Attribute)}
+    unread = [qual for (qual, _), why in ALLOWED.items()
+              if why == BENCH and qual.rsplit(".", 1)[-1] not in read]
+    assert unread == []
 
 
 def test_every_default_is_passed_by_some_call(executed):

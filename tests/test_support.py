@@ -228,18 +228,3 @@ class TestVerifySupport:
         with pytest.raises(ArithmeticError, match="certificate"):
             verify_support(ChargeParams(1, 0, 1, 1), RuledThreefold(0, 3), [0], [1])
 
-    def test_validates_grids(self):
-        X = RuledThreefold(0, 3)
-        p = ChargeParams(1, 0, 1, 1)
-        with pytest.raises(ValueError):
-            verify_support(p, X, [-1], [1])
-        with pytest.raises(ValueError):
-            verify_support(p, X, [0], [0])
-
-    def test_rejects_float_candidates(self):
-        X = RuledThreefold(0, 3)
-        p = ChargeParams(1, 0, 1, 1)
-        with pytest.raises(TypeError, match="float"):
-            verify_support(p, X, [0.1], [Fraction(1, 2)])
-        with pytest.raises(TypeError, match="float"):
-            verify_support(p, X, [Fraction(1, 10)], [0.5])

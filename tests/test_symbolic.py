@@ -209,3 +209,27 @@ def test_window_upper_half_follows_from_abc():
     P, O = RU * 2 * DW - RW * 2 * DU, CU * 2 * DW - CW * 2 * DU
     for r, c, d in (U, W):
         assert sp.expand(P * c - O * r - 2 * d * chi) == 0
+
+
+def test_radius_bound_is_a_ratio_of_integers():
+    # The steps of rho^2 <= disc(u)^2 / 4 in the `walls` module docstring,
+    # for a semicircle (chi != 0) of classes passing (A)-(C).
+    chi = RU * CW - RW * CU
+    P, O = RU * 2 * DW - RW * 2 * DU, CU * 2 * DW - CW * 2 * DU
+    disc_u, disc_w, disc_v = (c**2 - 2 * r * d for r, c, d in (U, W, V))
+    e = disc_u - disc_w - disc_v
+    # 1. rho^2 = N / (4 chi^2) with N = P^2 - 4 O chi; chi, P, O (and each disc)
+    #    are ints for lattice classes, since 2 d is
+    N = P**2 - 4 * O * chi
+    assert sp.simplify(RHO2 - N / (4 * chi**2)) == 0
+    # 2. N in discriminants: N = e^2 - 4 disc(w) disc(u - w)
+    assert sp.expand(N - (e**2 - 4 * disc_w * disc_v)) == 0
+    # 3. disc(u)^2 - N = (disc(u) - e)(disc(u) + e) + 4 disc(w) disc(u - w), where
+    #    disc(u) - e = disc(w) + disc(u - w) >= 0 by (A) and (B), and e >= 0 by (C),
+    #    so every factor is >= 0 and N <= disc(u)^2
+    assert sp.expand(disc_u - e - (disc_w + disc_v)) == 0
+    assert sp.expand(disc_u**2 - N - ((disc_u - e) * (disc_u + e) + 4 * disc_w * disc_v)) == 0
+    # 4. disc(u)^2/4 - rho^2 = (disc(u)^2 (chi^2 - 1) + disc(u)^2 - N) / (4 chi^2),
+    #    and chi^2 >= 1 for a nonzero int, so rho^2 <= disc(u)^2 / 4
+    gap = (disc_u**2 * (chi**2 - 1) + disc_u**2 - N) / (4 * chi**2)
+    assert sp.simplify(disc_u**2 / 4 - RHO2 - gap) == 0

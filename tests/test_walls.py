@@ -330,7 +330,7 @@ class TestEnumerate:
     def test_sorted_descending_radius(self, rng):
         for _ in range(30):
             u = rand_reduced(rng)
-            if disc_bar_reduced(u) < 0 or not u.is_lattice():
+            if disc_bar_reduced(u) < 0:
                 continue
             got = enumerate_destabilizers(u, 3)
             radii = [w.radius_sq for _, w in got if isinstance(w, SemicircleWall)]
